@@ -4,8 +4,12 @@
 // the tables can sweep.
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "olden/bench/obs_cli.hpp"
 #include "olden/compiler/analysis.hpp"
+#include "olden/fault/fault_spec.hpp"
 #include "olden/olden.hpp"
 
 namespace {
@@ -16,7 +20,7 @@ struct Node {
   std::int64_t val;
   GPtr<Node> next;
 };
-enum Site : SiteId { kVal, kNext, kNumSites };
+enum Site : SiteId { kVal, kNext, kHop, kNumSites };
 
 /// Drive one walk over a pre-built ring; `iters` accesses per program run.
 Task<std::int64_t> ring_walk(Machine& m, GPtr<Node> head, std::int64_t iters) {
@@ -83,6 +87,92 @@ void BM_Migration(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 20000);
 }
 BENCHMARK(BM_Migration);
+
+fault::FaultSpec parsed_spec(const char* text) {
+  fault::FaultSpec s;
+  std::string err;
+  if (!fault::parse_fault_spec(text, &s, &err)) std::abort();
+  return s;
+}
+
+/// Wire for the faulted probes, by benchmark argument: 0 = no fault
+/// plane, 1 = the plane installed over a perfect wire (protocol cost
+/// alone), 2 = the lossy wire perfbench's paper-faults workload runs on.
+const fault::FaultSpec* probe_wire(std::int64_t arg) {
+  static const fault::FaultSpec perfect = parsed_spec("drop=0");
+  static const fault::FaultSpec lossy =
+      parsed_spec("drop=0.1,dup=0.05,delay=0.2:500");
+  if (arg == 0) return nullptr;
+  return arg == 1 ? &perfect : &lossy;
+}
+
+/// Fault-plane messages per simulated op, the probe's denominator check.
+void report_messages(benchmark::State& state, std::uint64_t messages,
+                     std::int64_t ops_per_iter) {
+  state.counters["msgs_per_op"] = static_cast<double>(messages) /
+                                  static_cast<double>(state.iterations() *
+                                                      ops_per_iter);
+}
+
+void BM_FaultedMigration(benchmark::State& state) {
+  // BM_Migration's walk, 10x longer so the per-Machine set-up (8 MB of
+  // heap sections) stays in the noise: every hop is a migration message.
+  const fault::FaultSpec* wire = probe_wire(state.range(0));
+  constexpr std::int64_t kHops = 200000;
+  std::uint64_t messages = 0;
+  for (auto _ : state) {
+    Machine m({.nprocs = 8, .faults = wire, .fault_seed = 1});
+    m.set_site_mechanisms({Mechanism::kMigrate, Mechanism::kMigrate});
+    benchmark::DoNotOptimize(run_program(m, walk_root(m, 8, true, kHops)));
+    messages += m.stats().fault_messages;
+  }
+  state.SetItemsProcessed(state.iterations() * kHops);
+  report_messages(state, messages, kHops);
+}
+BENCHMARK(BM_FaultedMigration)->ArgName("wire")->Arg(0)->Arg(1)->Arg(2);
+
+/// Laps of a cached ring, each after a migrating hop to the next
+/// processor. Under local knowledge every migration arrival flushes the
+/// processor's cache, so each lap refills the ring's remote lines: 64
+/// nodes over 8 processors are 14 remote lines per lap.
+Task<std::int64_t> refill_walk(GPtr<Node> ring, GPtr<Node> hop, int n,
+                               std::int64_t laps) {
+  std::int64_t acc = 0;
+  for (std::int64_t lap = 0; lap < laps; ++lap) {
+    hop = co_await rd(hop, &Node::next, kHop);
+    GPtr<Node> p = ring;
+    for (int i = 0; i < n; ++i) {
+      acc += co_await rd(p, &Node::val, kVal);
+      p = co_await rd(p, &Node::next, kNext);
+    }
+  }
+  co_return acc;
+}
+
+Task<std::int64_t> refill_root(Machine& m, std::int64_t laps) {
+  auto ring = co_await build_ring(m, 64, true);
+  auto hop = co_await build_ring(m, 8, true);
+  co_return co_await refill_walk(ring, hop, 64, laps);
+}
+
+void BM_FaultedFill(benchmark::State& state) {
+  // Fill round trips: on a fault plane each is a request/reply pair on
+  // the wire; without one it is a direct copy.
+  const fault::FaultSpec* wire = probe_wire(state.range(0));
+  constexpr std::int64_t kLaps = 10000;
+  constexpr std::int64_t kOps = kLaps * (2 * 64 + 1);
+  std::uint64_t messages = 0;
+  for (auto _ : state) {
+    Machine m({.nprocs = 8, .faults = wire, .fault_seed = 1});
+    m.set_site_mechanisms(
+        {Mechanism::kCache, Mechanism::kCache, Mechanism::kMigrate});
+    benchmark::DoNotOptimize(run_program(m, refill_root(m, kLaps)));
+    messages += m.stats().fault_messages;
+  }
+  state.SetItemsProcessed(state.iterations() * kOps);
+  report_messages(state, messages, kOps);
+}
+BENCHMARK(BM_FaultedFill)->ArgName("wire")->Arg(0)->Arg(1)->Arg(2);
 
 Task<std::int64_t> leaf(Machine& m) {
   m.work(1);

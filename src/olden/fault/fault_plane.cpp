@@ -37,18 +37,13 @@ std::string describe(const WatchdogDiagnostic& d) {
 WatchdogError::WatchdogError(WatchdogDiagnostic diag)
     : std::runtime_error(describe(diag)), diag_(std::move(diag)) {}
 
-FaultPlane::FaultPlane(const FaultSpec& spec, std::uint64_t seed)
-    : spec_(spec), rng_(seed) {}
-
-bool FaultPlane::DedupWindow::accept(std::uint64_t seq) {
-  if (seq <= contig) return false;
-  if (!ahead.insert(seq).second) return false;
-  while (!ahead.empty() && *ahead.begin() == contig + 1) {
-    ahead.erase(ahead.begin());
-    ++contig;
-  }
-  return true;
-}
+FaultPlane::FaultPlane(const FaultSpec& spec, std::uint64_t seed,
+                       ProcId nprocs)
+    : spec_(spec),
+      rng_(seed),
+      nprocs_(nprocs),
+      chan_next_seq_(static_cast<std::size_t>(nprocs) * nprocs, 0),
+      accepted_(1, false) {}  // ids start at 1
 
 const char* FaultPlane::payload_name(Machine::MsgKind k) {
   switch (k) {
@@ -78,6 +73,16 @@ MsgClass FaultPlane::class_of(Machine::MsgKind k) {
   }
 }
 
+FaultPlane::Role FaultPlane::role_of(Machine::MsgKind k) {
+  switch (k) {
+    case Machine::MsgKind::kFillRequest:
+    case Machine::MsgKind::kTsCheckRequest: return Role::kRequest;
+    case Machine::MsgKind::kFillReply:
+    case Machine::MsgKind::kTsCheckReply: return Role::kReply;
+    default: return Role::kAcked;
+  }
+}
+
 double FaultPlane::drop_probability(Cycles now) const {
   double p = spec_.drop;
   if (spec_.burst_period > 0 && now % spec_.burst_period < spec_.burst_len) {
@@ -95,22 +100,34 @@ void FaultPlane::note(Machine& m, EventKind k, Cycles time, ProcId proc,
                 p != nullptr ? p->parent : trace::kNoEvent);
 }
 
-const FaultPlane::Pending* FaultPlane::find_in_flight(std::uint64_t id) const {
-  if (auto it = pending_.find(id); it != pending_.end()) return &it->second;
-  if (auto it = rr_pending_.find(id); it != rr_pending_.end()) {
-    return &it->second;
-  }
-  if (auto it = reply_pending_.find(id); it != reply_pending_.end()) {
-    return &it->second;
-  }
-  return nullptr;
+std::uint64_t FaultPlane::new_id() {
+  accepted_.push_back(false);
+  return ++next_msg_id_;
 }
 
-void FaultPlane::dec_reply_copies(std::uint64_t id) {
-  auto it = reply_pending_.find(id);
-  if (it == reply_pending_.end()) return;
+void FaultPlane::open(Pending& p, ProcId src, Cycles wire,
+                      const Machine::Event& payload) {
+  p.payload = payload;
+  p.src = src;
+  p.dst = payload.target;
+  p.wire = wire;
+  p.chan_seq = ++chan_next_seq_[static_cast<std::size_t>(src) * nprocs_ +
+                                payload.target];
+  p.backoff = spec_.ack_timeout;
+  if (payload.thread != nullptr) {
+    p.thread_id = payload.thread->id;
+    p.chain = payload.thread->obs_chain;
+  }
+}
+
+const FaultPlane::Pending* FaultPlane::find_in_flight(std::uint64_t id) const {
+  auto it = in_flight_.find(id);
+  return it != in_flight_.end() ? &it->second : nullptr;
+}
+
+void FaultPlane::dec_reply_copies(Table::iterator it) {
   if (it->second.copies_in_flight <= 1) {
-    reply_pending_.erase(it);
+    in_flight_.erase(it);
   } else {
     --it->second.copies_in_flight;
   }
@@ -118,15 +135,15 @@ void FaultPlane::dec_reply_copies(std::uint64_t id) {
 
 std::vector<WatchdogDiagnostic::ChannelLoad> FaultPlane::channel_loads()
     const {
-  std::map<std::uint64_t, std::uint64_t> counts;
-  for (const auto* table : {&pending_, &rr_pending_, &reply_pending_}) {
-    for (const auto& [id, p] : *table) ++counts[chan_key(p.src, p.dst)];
+  std::vector<std::uint64_t> counts(chan_next_seq_.size(), 0);
+  for (const auto& [id, p] : in_flight_) {
+    ++counts[static_cast<std::size_t>(p.src) * nprocs_ + p.dst];
   }
   std::vector<WatchdogDiagnostic::ChannelLoad> out;
-  out.reserve(counts.size());
-  for (const auto& [key, n] : counts) {
-    out.push_back({static_cast<ProcId>(key >> 32),
-                   static_cast<ProcId>(key & 0xffffffffu), n});
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    if (counts[i] == 0) continue;
+    out.push_back({static_cast<ProcId>(i / nprocs_),
+                   static_cast<ProcId>(i % nprocs_), counts[i]});
   }
   return out;
 }
@@ -151,18 +168,19 @@ void FaultPlane::throw_watchdog(std::string reason, Cycles now,
 void FaultPlane::check_progress(const Machine& m, std::uint64_t applied) const {
   if (applied <= kProgressBudget) return;
   // Name the most-retried in-flight message — the likeliest culprit —
-  // considering both retransmitting tables (ack/retransmit payloads and
-  // coherence requests; replies never retry and cannot wedge on their own).
+  // among the retransmitting roles (replies never retry and cannot wedge
+  // on their own). Ties go to the lowest message id, so the pick does not
+  // depend on the table's iteration order.
   const Pending* worst = nullptr;
   std::uint64_t worst_id = 0;
   Cycles now = 0;
   for (ProcId p = 0; p < m.nprocs(); ++p) now = std::max(now, m.proc_clock(p));
-  for (const auto* table : {&pending_, &rr_pending_}) {
-    for (const auto& [id, p] : *table) {
-      if (worst == nullptr || p.retries > worst->retries) {
-        worst = &p;
-        worst_id = id;
-      }
+  for (const auto& [id, p] : in_flight_) {
+    if (role_of(p.payload.kind) == Role::kReply) continue;
+    if (worst == nullptr || p.retries > worst->retries ||
+        (p.retries == worst->retries && id < worst_id)) {
+      worst = &p;
+      worst_id = id;
     }
   }
   if (worst != nullptr) {
@@ -178,17 +196,10 @@ void FaultPlane::check_progress(const Machine& m, std::uint64_t applied) const {
 
 void FaultPlane::send(Machine& m, ProcId src, Cycles wire,
                       const Machine::Event& payload) {
-  const std::uint64_t id = ++next_msg_id_;
-  Pending& p = pending_[id];
-  p.payload = payload;
-  p.src = src;
-  p.dst = payload.target;
-  p.wire = wire;
-  p.chan_seq = ++chan_next_seq_[chan_key(src, payload.target)];
-  p.backoff = spec_.ack_timeout;
+  const std::uint64_t id = new_id();
+  Pending& p = in_flight_[id];
+  open(p, src, wire, payload);
   if (payload.thread != nullptr) {
-    p.thread_id = payload.thread->id;
-    p.chain = payload.thread->obs_chain;
     p.parent = payload.thread->obs_depart_event;
   } else if (payload.cell != nullptr) {
     p.parent = payload.cell->obs_resolve_event;
@@ -210,18 +221,9 @@ void FaultPlane::send(Machine& m, ProcId src, Cycles wire,
 
 void FaultPlane::send_request(Machine& m, ProcId src, Cycles wire,
                               const Machine::Event& payload) {
-  const std::uint64_t id = ++next_msg_id_;
-  Pending& p = rr_pending_[id];
-  p.payload = payload;
-  p.src = src;
-  p.dst = payload.target;
-  p.wire = wire;
-  p.chan_seq = ++chan_next_seq_[chan_key(src, payload.target)];
-  p.backoff = spec_.ack_timeout;
-  if (payload.thread != nullptr) {
-    p.thread_id = payload.thread->id;
-    p.chain = payload.thread->obs_chain;
-  }
+  const std::uint64_t id = new_id();
+  Pending& p = in_flight_[id];
+  open(p, src, wire, payload);
   p.parent = payload.obs_parent;
   ++m.stats_.fault_messages;
   ++m.stats_.coherence_requests;
@@ -240,17 +242,9 @@ void FaultPlane::send_request(Machine& m, ProcId src, Cycles wire,
 
 void FaultPlane::send_reply(Machine& m, ProcId src, Cycles wire,
                             const Machine::Event& payload) {
-  const std::uint64_t id = ++next_msg_id_;
+  const std::uint64_t id = new_id();
   Pending p;
-  p.payload = payload;
-  p.src = src;
-  p.dst = payload.target;
-  p.wire = wire;
-  p.chan_seq = ++chan_next_seq_[chan_key(src, payload.target)];
-  if (payload.thread != nullptr) {
-    p.thread_id = payload.thread->id;
-    p.chain = payload.thread->obs_chain;
-  }
+  open(p, src, wire, payload);
   p.parent = payload.obs_parent;
   ++m.stats_.fault_messages;
   ++m.stats_.class_sent[static_cast<std::size_t>(class_of(payload.kind))];
@@ -263,12 +257,12 @@ void FaultPlane::send_reply(Machine& m, ProcId src, Cycles wire,
     // retransmitted request is re-serviced. Track only the copies still
     // on the wire so delivery can find the payload.
     p.copies_in_flight = static_cast<std::uint32_t>(copies);
-    reply_pending_[id] = p;
+    in_flight_.emplace(id, std::move(p));
   }
 }
 
 bool FaultPlane::consume_reply(std::uint64_t request_id) {
-  return rr_pending_.erase(request_id) > 0;
+  return in_flight_.erase(request_id) > 0;
 }
 
 Cycles FaultPlane::draw_delay(Machine& m, const Pending& p, Cycles now) {
@@ -355,8 +349,10 @@ void FaultPlane::send_ack(Machine& m, MsgClass cls, ProcId data_src,
   if (pd > 0.0 && rng_.next_double() < pd) {
     ++m.stats_.fault_drops;
     ++m.stats_.class_drops[static_cast<std::size_t>(cls)];
-    note(m, EventKind::kFaultDrop, now, data_dst, find_in_flight(msg_id),
-         class_arg(cls, data_src), chan_seq);
+    if (m.obs_ != nullptr) {
+      note(m, EventKind::kFaultDrop, now, data_dst, find_in_flight(msg_id),
+           class_arg(cls, data_src), chan_seq);
+    }
     return;
   }
   Cycles extra = 0;
@@ -375,91 +371,76 @@ void FaultPlane::send_ack(Machine& m, MsgClass cls, ProcId data_src,
 }
 
 void FaultPlane::on_wire_deliver(Machine& m, const Machine::Event& e) {
-  const Machine::MsgKind pk = e.payload_kind;
-  const MsgClass cls = class_of(pk);
-  const bool is_request = pk == Machine::MsgKind::kFillRequest ||
-                          pk == Machine::MsgKind::kTsCheckRequest;
-  const bool is_reply = pk == Machine::MsgKind::kFillReply ||
-                        pk == Machine::MsgKind::kTsCheckReply;
-  const Pending* attribution = find_in_flight(e.msg_id);
+  const MsgClass cls = class_of(e.payload_kind);
+  const Role role = role_of(e.payload_kind);
+  // The message's record, or null once it is retired.
+  const auto it = in_flight_.find(e.msg_id);
+  Pending* const p = it != in_flight_.end() ? &it->second : nullptr;
   // A transient receiver slowdown can hit on any arrival, duplicate or not.
   if (spec_.class_enabled(cls) && spec_.hiccup > 0.0 &&
       rng_.next_double() < spec_.hiccup) {
     ++m.stats_.hiccups_injected;
     m.stats_.hiccup_cycles += spec_.hiccup_cycles;
     m.charge_to(e.target, spec_.hiccup_cycles, CycleBucket::kIdle);
-    note(m, EventKind::kHiccup, e.time, e.target, attribution,
-         spec_.hiccup_cycles, 0);
+    note(m, EventKind::kHiccup, e.time, e.target, p, spec_.hiccup_cycles, 0);
   }
-  DedupWindow& win = dedup_[chan_key(e.src, e.target)];
-  if (!win.accept(e.chan_seq)) {
+  if (accepted_[e.msg_id]) {
     // Replay: an injected duplicate, a retransmit racing its own ack, or a
     // retransmitted request whose reply got lost.
     ++m.stats_.duplicates_suppressed;
-    note(m, EventKind::kDupSuppressed, e.time, e.target, attribution,
+    note(m, EventKind::kDupSuppressed, e.time, e.target, p,
          class_arg(cls, e.src), e.chan_seq);
-    if (is_request) {
-      // Still unanswered at the requester (the reply was dropped, or is
-      // still in flight): re-service it. The coherence handlers are
-      // stateless at the home, so a surplus reply is harmless — the
-      // requester discards it via the consume_reply tombstone.
-      auto it = rr_pending_.find(e.msg_id);
-      if (it != rr_pending_.end()) {
-        Machine::Event payload = it->second.payload;
-        payload.time = e.time;
-        payload.seq = e.seq;
-        payload.msg_id = e.msg_id;
-        m.apply(payload);
-      }
-    } else if (is_reply) {
-      dec_reply_copies(e.msg_id);
-    } else {
-      // Re-ack so the sender can stop retransmitting.
-      send_ack(m, cls, e.src, e.target, e.msg_id, e.chan_seq, e.time);
+    switch (role) {
+      case Role::kRequest:
+        // Still unanswered at the requester (the reply was dropped, or is
+        // still in flight): re-service it. The coherence handlers are
+        // stateless at the home, so a surplus reply is harmless — the
+        // requester discards it via the consume_reply tombstone.
+        if (p != nullptr) {
+          Machine::Event payload = p->payload;
+          payload.time = e.time;
+          payload.seq = e.seq;
+          payload.msg_id = e.msg_id;
+          m.apply(payload);
+        }
+        break;
+      case Role::kReply:
+        if (p != nullptr) dec_reply_copies(it);
+        break;
+      case Role::kAcked:
+        // Re-ack so the sender can stop retransmitting.
+        send_ack(m, cls, e.src, e.target, e.msg_id, e.chan_seq, e.time);
+        break;
     }
     return;
   }
-  if (is_request) {
-    // First acceptance of this channel seq: the request cannot have been
-    // answered yet (every copy shares one seq, and replies only exist once
-    // a copy has been serviced).
-    auto it = rr_pending_.find(e.msg_id);
-    OLDEN_REQUIRE(it != rr_pending_.end(),
-                  "accepted a coherence request already retired");
-    Machine::Event payload = it->second.payload;
-    payload.time = e.time;
-    payload.seq = e.seq;
-    payload.msg_id = e.msg_id;  // the reply answers this id
-    m.apply(payload);
-    return;
-  }
-  if (is_reply) {
-    auto it = reply_pending_.find(e.msg_id);
-    OLDEN_REQUIRE(it != reply_pending_.end(),
-                  "accepted a coherence reply with no sender state");
-    Machine::Event payload = it->second.payload;
-    payload.time = e.time;
-    payload.seq = e.seq;
-    dec_reply_copies(e.msg_id);
-    m.apply(payload);
-    return;
-  }
-  // First acceptance: the pending entry must still exist — it is erased
-  // only once an ack arrives, and acks are only sent for arrivals.
-  auto pit = pending_.find(e.msg_id);
-  OLDEN_REQUIRE(pit != pending_.end(),
-                "accepted a message with no sender state");
-  Machine::Event payload = pit->second.payload;
+  accepted_[e.msg_id] = true;
+  // First acceptance: the record must still exist. A request cannot have
+  // been answered yet (replies only exist once a copy has been serviced),
+  // a reply keeps its record while a copy is on the wire, and an acked
+  // payload is retired only by an ack, which only an arrival sends.
+  OLDEN_REQUIRE(p != nullptr, "accepted a message with no sender state");
+  Machine::Event payload = p->payload;
   payload.time = e.time;  // the payload lands when the surviving copy does
   payload.seq = e.seq;
-  send_ack(m, cls, e.src, e.target, e.msg_id, e.chan_seq, e.time);
+  switch (role) {
+    case Role::kRequest:
+      payload.msg_id = e.msg_id;  // the reply answers this id
+      break;
+    case Role::kReply:
+      dec_reply_copies(it);
+      break;
+    case Role::kAcked:
+      send_ack(m, cls, e.src, e.target, e.msg_id, e.chan_seq, e.time);
+      break;
+  }
   m.apply(payload);
 }
 
 void FaultPlane::on_ack_deliver(Machine& m, const Machine::Event& e) {
   m.charge_to(e.target, m.cfg_.costs.ack_recv, CycleBucket::kRetry);
-  auto it = pending_.find(e.msg_id);
-  if (it == pending_.end()) return;  // duplicate acks are no-ops
+  auto it = in_flight_.find(e.msg_id);
+  if (it == in_flight_.end()) return;  // duplicate acks are no-ops
   const Pending& p = it->second;
   if (p.payload.kind == Machine::MsgKind::kInvalidatePush) {
     // The sharer's ack closes the line-invalidation push; record it so
@@ -467,15 +448,12 @@ void FaultPlane::on_ack_deliver(Machine& m, const Machine::Event& e) {
     note(m, EventKind::kInvalidateAck, e.time, p.src, &p, p.payload.parg0,
          p.dst);
   }
-  pending_.erase(it);
+  in_flight_.erase(it);
 }
 
 void FaultPlane::on_retry_timer(Machine& m, const Machine::Event& e) {
-  auto it = pending_.find(e.msg_id);
-  if (it == pending_.end()) {
-    it = rr_pending_.find(e.msg_id);
-    if (it == rr_pending_.end()) return;  // acked/answered: a tombstone
-  }
+  auto it = in_flight_.find(e.msg_id);
+  if (it == in_flight_.end()) return;  // acked/answered: a tombstone
   Pending& p = it->second;
   const MsgClass cls = class_of(p.payload.kind);
   if (p.retries >= spec_.max_retries) {

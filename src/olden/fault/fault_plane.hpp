@@ -3,14 +3,14 @@
 //
 // The plane sits between the runtime's message producers (migrations,
 // return stubs, remote future resolutions) and the discrete-event queue.
-// Every payload message gets a per-(src,dst) sequence number and an entry
-// in the sender's pending table; each transmission attempt is then
-// subjected to the configured drop/duplicate/delay faults. Receivers
-// acknowledge every accepted or duplicate arrival and suppress replays
-// through a per-channel dedup window; senders retransmit on an ack
-// timeout with capped exponential backoff. Protocol overhead (acks,
-// retransmit marshalling) is charged to the kRetry cycle bucket so the
-// exhaustive per-processor accounting stays exhaustive.
+// Every payload message gets a machine-wide message id, a per-(src,dst)
+// sequence number and an entry in the in-flight table; each transmission
+// attempt is then subjected to the configured drop/duplicate/delay faults.
+// Receivers acknowledge every accepted or duplicate arrival and suppress
+// replays by message id; senders retransmit on an ack timeout with capped
+// exponential backoff. Protocol overhead (acks, retransmit marshalling) is
+// charged to the kRetry cycle bucket so the exhaustive per-processor
+// accounting stays exhaustive.
 //
 // Determinism: all fault randomness comes from one olden::Rng seeded with
 // RunConfig::fault_seed, drawn at simulation-deterministic points (each
@@ -28,10 +28,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <set>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "olden/fault/fault_spec.hpp"
@@ -80,7 +79,7 @@ class WatchdogError : public std::runtime_error {
 
 class FaultPlane {
  public:
-  FaultPlane(const FaultSpec& spec, std::uint64_t seed);
+  FaultPlane(const FaultSpec& spec, std::uint64_t seed, ProcId nprocs);
 
   FaultPlane(const FaultPlane&) = delete;
   FaultPlane& operator=(const FaultPlane&) = delete;
@@ -119,7 +118,7 @@ class FaultPlane {
   void check_progress(const Machine& m, std::uint64_t applied) const;
 
   [[nodiscard]] std::size_t pending_messages() const {
-    return pending_.size() + rr_pending_.size() + reply_pending_.size();
+    return in_flight_.size();
   }
   [[nodiscard]] const FaultSpec& spec() const { return spec_; }
 
@@ -129,6 +128,14 @@ class FaultPlane {
   static constexpr std::uint64_t kProgressBudget = 200000;
 
  private:
+  /// Which protocol a message rides; a pure function of its payload kind
+  /// (role_of), so in-flight records need not store it.
+  enum class Role : std::uint8_t {
+    kAcked,    ///< ack/retransmit: migrations, stubs, resolves, pushes
+    kRequest,  ///< coherence request, retired by its reply
+    kReply,    ///< coherence reply, fire-and-forget
+  };
+
   struct Pending {
     Machine::Event payload;        ///< original message (kind, target, h, ...)
     ProcId src = 0;
@@ -146,22 +153,12 @@ class FaultPlane {
     std::uint64_t chain = trace::kNoChain;
     std::uint64_t parent = trace::kNoEvent;
   };
+  using Table = std::unordered_map<std::uint64_t, Pending>;
 
-  /// Receiver-side dedup window for one (src,dst) channel: a contiguous
-  /// high-water mark plus the out-of-order accepted set above it, so
-  /// memory stays proportional to reordering depth, not message count.
-  struct DedupWindow {
-    std::uint64_t contig = 0;           ///< all seqs <= contig accepted
-    std::set<std::uint64_t> ahead;      ///< accepted seqs > contig
-    bool accept(std::uint64_t seq);     ///< false iff already accepted
-  };
-
-  static std::uint64_t chan_key(ProcId src, ProcId dst) {
-    return (static_cast<std::uint64_t>(src) << 32) | dst;
-  }
   static const char* payload_name(Machine::MsgKind k);
   /// Message class of a payload kind (wrapper kinds never reach this).
   static MsgClass class_of(Machine::MsgKind k);
+  static Role role_of(Machine::MsgKind k);
   /// Fault trace events encode the message class in arg0's upper bits —
   /// `(class + 1) << 32 | low` — so analyzers can split retry storms by
   /// class; 0 up top means "unknown" (traces from before the encoding).
@@ -186,29 +183,37 @@ class FaultPlane {
                 std::uint64_t msg_id, std::uint64_t chan_seq, Cycles now);
   void note(Machine& m, trace::EventKind k, Cycles time, ProcId proc,
             const Pending* p, std::uint64_t a0, std::uint64_t a1);
-  /// In-flight record for `id` in any of the three tables (attribution).
+  /// Allocate the next message id, with its dedup bit.
+  std::uint64_t new_id();
+  /// Fill `p` for `payload` from `src`, taking the channel's next seq.
+  void open(Pending& p, ProcId src, Cycles wire,
+            const Machine::Event& payload);
+  /// In-flight record for `id`, or null once it is retired (attribution).
   [[nodiscard]] const Pending* find_in_flight(std::uint64_t id) const;
   /// One reply copy left the wire (delivered or suppressed); erase the
   /// record once none remain.
-  void dec_reply_copies(std::uint64_t id);
+  void dec_reply_copies(Table::iterator it);
   [[noreturn]] void throw_watchdog(std::string reason, Cycles now,
                                    std::uint64_t id, const Pending& p) const;
-  /// Current per-channel unacked counts across all in-flight tables.
+  /// Current per-channel counts of in-flight messages, by (src, dst).
   [[nodiscard]] std::vector<WatchdogDiagnostic::ChannelLoad> channel_loads()
       const;
 
   FaultSpec spec_;
   Rng rng_;
+  ProcId nprocs_;
   std::uint64_t next_msg_id_ = 0;
-  /// Sender-side sequence counters and in-flight tables. std::map keeps
-  /// iteration (used by watchdog diagnostics) deterministic. Message ids
-  /// are unique across all three tables (one shared counter).
-  std::map<std::uint64_t, std::uint64_t> chan_next_seq_;
-  std::map<std::uint64_t, Pending> pending_;      ///< ack/retransmit protocol
-  std::map<std::uint64_t, Pending> rr_pending_;   ///< coherence requests
-  std::map<std::uint64_t, Pending> reply_pending_;  ///< coherence replies
-  /// Receiver-side dedup windows, also keyed by (src,dst).
-  std::map<std::uint64_t, DedupWindow> dedup_;
+  /// Sender-side sequence counters, indexed src * nprocs + dst.
+  std::vector<std::uint64_t> chan_next_seq_;
+  /// Every message not yet retired, keyed by id: acked payloads until
+  /// their ack, requests until their reply, replies while a copy is on the
+  /// wire. One counter numbers all three roles, so ids never collide.
+  Table in_flight_;
+  /// Receiver-side dedup: bit `id` is set once a copy of message `id` has
+  /// been accepted. Each id has exactly one (src, dst, chan_seq), so this
+  /// answers "was this channel seq already accepted" at one bit per
+  /// message sent, whatever the loss or reordering pattern.
+  std::vector<bool> accepted_;
 };
 
 }  // namespace olden::fault

@@ -55,7 +55,8 @@ Machine::Machine(RunConfig cfg)
   current_ = this;
   events_.reserve(256);
   if (cfg_.faults != nullptr && cfg_.faults->enabled) {
-    fault_ = std::make_unique<fault::FaultPlane>(*cfg_.faults, cfg_.fault_seed);
+    fault_ = std::make_unique<fault::FaultPlane>(*cfg_.faults, cfg_.fault_seed,
+                                                  cfg_.nprocs);
   }
   if (cfg_.adapt.interval > 0) {
     adapt_on_ = true;

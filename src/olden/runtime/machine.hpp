@@ -824,7 +824,7 @@ class Machine {
   CoherenceDirectory directory_;
   std::vector<Mechanism> site_mech_;
 
-  MinHeap<Event> events_;
+  SlabHeap<Event> events_;
   std::uint64_t next_seq_ = 0;
 
   std::deque<ThreadState> threads_;  // stable addresses

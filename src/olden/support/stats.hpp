@@ -109,7 +109,7 @@ struct MachineStats {
   std::uint64_t fault_delays = 0;
   /// Sender timeouts that re-sent an unacknowledged message.
   std::uint64_t retransmissions = 0;
-  /// Arrivals the receiver's dedup window recognized and discarded.
+  /// Arrivals the receiver recognized as already accepted and discarded.
   std::uint64_t duplicates_suppressed = 0;
   /// Acknowledgements transmitted by receivers (one per accepted arrival).
   std::uint64_t acks_sent = 0;

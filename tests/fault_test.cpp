@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "olden/bench/benchmark.hpp"
 #include "olden/fault/fault_plane.hpp"
@@ -400,11 +401,69 @@ TEST(FaultWatchdog, TotalDropBecomesStructuredDiagnostic) {
       }
     }
     EXPECT_TRUE(saw_stuck_channel);
+    // Channels come out in strictly ascending (src, dst) order, and their
+    // loads partition the machine-wide in-flight count.
+    std::uint64_t unacked = 0;
+    for (std::size_t i = 0; i < d.channels.size(); ++i) {
+      unacked += d.channels[i].unacked;
+      if (i == 0) continue;
+      const auto& a = d.channels[i - 1];
+      const auto& b = d.channels[i];
+      EXPECT_TRUE(a.src < b.src || (a.src == b.src && a.dst < b.dst))
+          << "channel " << i << " out of order";
+    }
+    EXPECT_EQ(unacked, d.pending_messages);
     const std::string what = e.what();
     EXPECT_NE(what.find("watchdog"), std::string::npos) << what;
     EXPECT_NE(what.find("retry-cap-exceeded"), std::string::npos) << what;
     EXPECT_NE(what.find("class migration"), std::string::npos) << what;
     EXPECT_NE(what.find("unacked per channel"), std::string::npos) << what;
+  }
+}
+
+Task<std::int64_t> read_val(GPtr<Node> n) {
+  co_return co_await rd(n, &Node::val, SiteId{0});
+}
+
+Task<std::int64_t> fan_out_root(Machine& m) {
+  // Each futurecall body migrates to a different owner, and the stolen
+  // continuation makes the next call, so migrations to every processor
+  // are in flight at once.
+  std::vector<Future<std::int64_t>> fs;
+  for (ProcId p = m.nprocs() - 1; p >= 1; --p) {
+    fs.push_back(co_await futurecall(read_val(m.alloc<Node>(p))));
+  }
+  std::int64_t acc = 0;
+  for (auto& f : fs) acc += co_await touch(f);
+  co_return acc;
+}
+
+TEST(FaultWatchdog, ChannelLoadsAreSortedAcrossManyChannels) {
+  FaultSpec spec;
+  std::string err;
+  ASSERT_TRUE(
+      parse_fault_spec("drop=1.0,timeout=200,retries=3", &spec, &err))
+      << err;
+  Machine m({.nprocs = 6, .faults = &spec, .fault_seed = 1});
+  m.set_site_mechanisms({Mechanism::kMigrate});
+  try {
+    (void)run_program(m, fan_out_root(m));
+    FAIL() << "a 100%-drop schedule must not terminate normally";
+  } catch (const fault::WatchdogError& e) {
+    const fault::WatchdogDiagnostic& d = e.diagnostic();
+    EXPECT_EQ(d.reason, "retry-cap-exceeded");
+    // The first migration sent (to the highest processor) hits the cap
+    // first; every other channel still carries its own stuck migration.
+    EXPECT_EQ(d.msg_id, 1u);
+    EXPECT_EQ(d.dst, 5u);
+    ASSERT_EQ(d.channels.size(), 5u);
+    std::uint64_t unacked = 0;
+    for (std::size_t i = 0; i < d.channels.size(); ++i) {
+      EXPECT_EQ(d.channels[i].src, 0u);
+      EXPECT_EQ(d.channels[i].dst, static_cast<ProcId>(i + 1));
+      unacked += d.channels[i].unacked;
+    }
+    EXPECT_EQ(unacked, d.pending_messages);
   }
 }
 

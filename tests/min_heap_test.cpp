@@ -3,9 +3,14 @@
 // The simulation's determinism rests on it popping exactly the same
 // sequence the old queue did, so check it against std::priority_queue on
 // randomized interleavings of pushes and pops, with (time, seq) keys that
-// collide on time the way real events do.
+// collide on time the way real events do. The runtime's event queue is a
+// SlabHeap (keys sifted, payloads parked in a slab); it must pop exactly
+// what a MinHeap of whole events pops.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
 #include <queue>
 #include <vector>
 
@@ -65,6 +70,51 @@ TEST(MinHeap, ReserveDoesNotDisturbContents) {
     EXPECT_GE(k.time, last);
     last = k.time;
   }
+}
+
+/// An event-sized payload: the queue must carry every byte, not just the
+/// key, through slot reuse.
+struct Ev {
+  std::uint64_t time = 0;
+  std::uint64_t seq = 0;
+  std::array<std::uint64_t, 13> body{};
+  friend bool operator>(const Ev& a, const Ev& b) {
+    if (a.time != b.time) return a.time > b.time;
+    return a.seq > b.seq;
+  }
+  bool operator==(const Ev& o) const = default;
+};
+
+TEST(SlabHeap, PopsInMinHeapOrderWithSlotReuse) {
+  Rng rng(7);
+  SlabHeap<Ev> slab;
+  MinHeap<Ev> ref;
+  std::uint64_t seq = 0;
+  std::uint64_t now = 0;
+  std::size_t peak = 0;
+  for (int step = 0; step < 60000; ++step) {
+    // Phases of net growth and net drain, so the slab fills, empties
+    // and refills, and freed slots are reused in a scrambled order.
+    const bool growing = (step / 5000) % 2 == 0;
+    const bool push = ref.empty() || rng.next_below(4) < (growing ? 3u : 1u);
+    if (push) {
+      // Times stay at or after the last pop (as in drain()) and collide
+      // heavily, so ordering among equal times rests on seq.
+      Ev e{now + rng.next_below(8), seq++, {}};
+      for (auto& w : e.body) w = rng.next_u64();
+      slab.push(e);
+      ref.push(e);
+    } else {
+      const Ev want = ref.pop_min();
+      ASSERT_EQ(slab.pop_min(), want) << "diverged at step " << step;
+      now = want.time;
+    }
+    ASSERT_EQ(slab.size(), ref.size());
+    peak = std::max(peak, ref.size());
+  }
+  while (!ref.empty()) ASSERT_EQ(slab.pop_min(), ref.pop_min());
+  EXPECT_TRUE(slab.empty());
+  EXPECT_GT(peak, 1000u);
 }
 
 }  // namespace
