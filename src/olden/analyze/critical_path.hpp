@@ -1,8 +1,10 @@
-// Critical-path extraction over the causal event DAG of one traced run.
+// The critical path of one traced run, as StreamingRunAnalyzer extracts
+// it (streaming.hpp).
 //
-// The DAG's nodes are the run's retained events plus a synthetic SOURCE
-// (t = 0) and SINK (t = makespan). Every edge is "tight": its weight is
-// exactly dst.time - src.time. Edges come from three places:
+// The path runs through the run's causal event DAG. Its nodes are the
+// run's retained events plus a synthetic SOURCE (t = 0) and SINK
+// (t = makespan). Every edge is "tight": its weight is exactly
+// dst.time - src.time. Edges come from three places:
 //
 //   * per-processor order: consecutive events on the same processor
 //     (sorted by (time, id)),
@@ -19,54 +21,74 @@
 // equals the traced makespan" holds by construction. What distinguishes
 // the critical path is its attribution: each edge is classified into the
 // runtime's CycleBucket vocabulary (compute / migration / cache_stall /
-// coherence / idle) from its type and endpoint kinds, and the extractor
-// picks the path that minimizes idle-attributed cycles — the chain of
-// work that actually kept the makespan from shrinking.
+// coherence / idle / retry) from its type and endpoint kinds, and the
+// extractor picks the path that minimizes idle-attributed cycles — the
+// chain of work that actually kept the makespan from shrinking.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "olden/analyze/trace_reader.hpp"
 #include "olden/trace/trace.hpp"
 
 namespace olden::analyze {
 
-/// One edge of the chosen path, ending at `event` (index into
-/// TraceRun::events, or kSinkStep for the final edge into SINK).
-struct PathStep {
-  static constexpr std::size_t kSinkStep = ~std::size_t{0};
-  /// Index of the edge's tail event, or kSourceStep for SOURCE.
-  static constexpr std::size_t kSourceStep = ~std::size_t{0} - 1;
-  std::size_t src = kSourceStep;
-  std::size_t event = kSinkStep;
+/// Structural identity of one critical-path edge — everything about the
+/// edge that is stable across runs of the same workload (event ids,
+/// times and chains are not). The diff engine (diff.hpp) aligns runs by it.
+struct EdgeKey {
+  /// Sentinels for the synthetic DAG endpoints, chosen above every real
+  /// EventKind value so they cannot collide.
+  static constexpr std::uint8_t kSourceKind = 0xFE;
+  static constexpr std::uint8_t kSinkKind = 0xFF;
+
+  std::uint8_t src_kind = kSourceKind;  ///< EventKind of the tail, or SOURCE
+  std::uint8_t dst_kind = kSinkKind;    ///< EventKind of the head, or SINK
+  std::uint8_t bucket = 0;              ///< trace::CycleBucket of the edge
+  SiteId site = trace::kNoSite;         ///< head event's dereference site
+
+  friend bool operator<(const EdgeKey& a, const EdgeKey& b) {
+    if (a.src_kind != b.src_kind) return a.src_kind < b.src_kind;
+    if (a.dst_kind != b.dst_kind) return a.dst_kind < b.dst_kind;
+    if (a.bucket != b.bucket) return a.bucket < b.bucket;
+    return a.site < b.site;
+  }
+  friend bool operator==(const EdgeKey& a, const EdgeKey& b) {
+    return a.src_kind == b.src_kind && a.dst_kind == b.dst_kind &&
+           a.bucket == b.bucket && a.site == b.site;
+  }
+};
+
+/// Display name of an EdgeKey endpoint kind ("SOURCE", "SINK" or the
+/// event kind).
+[[nodiscard]] inline const char* edge_kind_name(std::uint8_t kind) {
+  if (kind == EdgeKey::kSourceKind) return "SOURCE";
+  if (kind == EdgeKey::kSinkKind) return "SINK";
+  return trace::to_string(static_cast<trace::EventKind>(kind));
+}
+
+/// One edge of the chosen path, as the "heaviest edges" table shows it.
+struct PathEdge {
+  EdgeKey key;
   Cycles weight = 0;
-  trace::CycleBucket bucket = trace::CycleBucket::kCompute;
-  /// Dereference site of the edge's head event (kNoSite for SINK or
-  /// unattributed events) — what the diff engine charges site deltas to.
-  SiteId site = trace::kNoSite;
-  /// Page the head event is about (classify::page_of), or
-  /// classify::kNoPage. Diff engine input, like `site`.
-  std::uint64_t page = ~std::uint64_t{0};
+  ProcId proc = 0;  ///< head event's processor (unused when the head is SINK)
+  Cycles time = 0;  ///< head event's time (unused when the head is SINK)
 };
 
 struct CriticalPath {
+  /// How many of the path's heaviest edges `heaviest` keeps.
+  static constexpr std::size_t kHeaviestEdges = 5;
+
   /// Total path weight; equals the run's makespan whenever the run has at
   /// least one event (and the makespan alone when it has none).
   Cycles total_cycles = 0;
   /// Per-bucket attribution; sums to total_cycles.
   trace::BucketCycles attribution{};
-  /// Number of edges on the chosen path. Equals steps.size() when the
-  /// per-edge list is materialized; the streaming analyzer (streaming.hpp)
-  /// fills only this count and leaves `steps` empty, so reports must read
-  /// the edge count from here.
+  /// Number of edges on the chosen path.
   std::uint64_t edges = 0;
-  /// SOURCE -> SINK, in order. steps[i].event names the edge's head.
-  /// Empty in streaming mode (see `edges`).
-  std::vector<PathStep> steps;
+  /// The kHeaviestEdges heaviest edges: weight descending, ties in path
+  /// order (SOURCE first).
+  std::vector<PathEdge> heaviest;
 };
-
-/// Extract the minimum-idle critical path of one run.
-[[nodiscard]] CriticalPath critical_path(const TraceRun& run);
 
 }  // namespace olden::analyze

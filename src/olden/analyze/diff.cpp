@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <unordered_set>
 
 #include "olden/analyze/classify.hpp"
 #include "olden/analyze/report.hpp"
@@ -16,14 +15,6 @@ using jsonio::append_escaped;
 using jsonio::append_kv;
 using jsonio::append_kv_i64;
 using trace::CycleBucket;
-using trace::EventKind;
-using trace::TraceEvent;
-
-const char* kind_name(std::uint8_t kind) {
-  if (kind == EdgeKey::kSourceKind) return "SOURCE";
-  if (kind == EdgeKey::kSinkKind) return "SINK";
-  return trace::to_string(static_cast<EventKind>(kind));
-}
 
 std::uint64_t magnitude(std::int64_t v) {
   return v < 0 ? static_cast<std::uint64_t>(-v) : static_cast<std::uint64_t>(v);
@@ -102,46 +93,6 @@ void append_kv_or_null(std::string& out, const char* key, std::uint64_t v,
 }
 
 }  // namespace
-
-DiffProfile diff_profile(const TraceRun& run) {
-  DiffProfile p;
-  p.label = run.label;
-  p.nprocs = run.nprocs;
-  p.makespan = run.makespan;
-  p.events = run.event_count();
-  p.truncated = run.truncated();
-
-  const CriticalPath cp = critical_path(run);
-  p.buckets = cp.attribution;
-  for (const PathStep& s : cp.steps) {
-    if (s.weight == 0) continue;  // zero edges cannot carry delta
-    EdgeKey key;
-    key.src_kind = s.src == PathStep::kSourceStep
-                       ? EdgeKey::kSourceKind
-                       : static_cast<std::uint8_t>(run.events[s.src].kind);
-    key.dst_kind = s.event == PathStep::kSinkStep
-                       ? EdgeKey::kSinkKind
-                       : static_cast<std::uint8_t>(run.events[s.event].kind);
-    key.bucket = static_cast<std::uint8_t>(s.bucket);
-    key.site = s.site;
-    p.site_cycles[s.site] += s.weight;
-    p.page_cycles[s.page] += s.weight;
-    p.edge_cycles[key] += s.weight;
-  }
-
-  std::unordered_set<std::uint64_t> seen_chains;
-  for (const TraceEvent& e : run.events) {
-    if (e.kind == EventKind::kRetransmit) {
-      ++p.retries_by_class[retransmit_class_index(e.arg0)];
-    }
-    if (e.chain == trace::kNoChain) continue;
-    if (seen_chains.insert(e.chain).second) {
-      ++p.chains;
-      ++p.chain_counts[{static_cast<std::uint8_t>(e.kind), e.site}];
-    }
-  }
-  return p;
-}
 
 bool diff_runs(const DiffProfile& a, const DiffProfile& b, std::size_t top_n,
                DiffReport* out, std::string* err) {
@@ -307,7 +258,8 @@ std::string human_diff(const DiffReport& rep) {
                   " -> %" PRIu64 ")\n",
                   e.row.delta,
                   trace::to_string(static_cast<CycleBucket>(e.key.bucket)),
-                  kind_name(e.key.src_kind), kind_name(e.key.dst_kind), where,
+                  edge_kind_name(e.key.src_kind),
+                  edge_kind_name(e.key.dst_kind), where,
                   e.row.a, e.row.b);
     out += buf;
   }
@@ -435,9 +387,9 @@ std::string json_diff(const std::vector<DiffReport>& reps) {
       const EdgeDiff& e = rep.edges[i];
       if (i != 0) out += ",";
       out += "{\"src\":\"";
-      out += kind_name(e.key.src_kind);
+      out += edge_kind_name(e.key.src_kind);
       out += "\",\"dst\":\"";
-      out += kind_name(e.key.dst_kind);
+      out += edge_kind_name(e.key.dst_kind);
       out += "\",\"bucket\":\"";
       out += trace::to_string(static_cast<CycleBucket>(e.key.bucket));
       out += "\",";

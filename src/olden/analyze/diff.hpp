@@ -29,10 +29,9 @@
 // benchmarks x scheme pairs, and tools/check_stats_schema.py --diff
 // re-checks the emitted JSON independently.
 //
-// Profiles come from either pipeline: diff_profile() over an in-memory
-// TraceRun, or StreamingRunAnalyzer's diff-detail mode (streaming.hpp)
-// for bounded-memory --stream analysis. Both produce identical profiles;
-// the resulting human and JSON reports are byte-identical.
+// Profiles come from StreamingRunAnalyzer's diff-detail mode
+// (streaming.hpp), so diffing runs in the same bounded memory as the
+// per-run analysis.
 #pragma once
 
 #include <array>
@@ -42,39 +41,12 @@
 #include <vector>
 
 #include "olden/analyze/critical_path.hpp"
-#include "olden/analyze/trace_reader.hpp"
 #include "olden/support/stats.hpp"
 
 namespace olden::analyze {
 
 /// Schema version of the JSON document json_diff() emits.
 inline constexpr int kDiffSchemaVersion = 1;
-
-/// Structural identity of one critical-path edge — everything about the
-/// edge that is stable across runs of the same workload (event ids,
-/// times and chains are not).
-struct EdgeKey {
-  /// Sentinels for the synthetic DAG endpoints, chosen above every real
-  /// EventKind value so they cannot collide.
-  static constexpr std::uint8_t kSourceKind = 0xFE;
-  static constexpr std::uint8_t kSinkKind = 0xFF;
-
-  std::uint8_t src_kind = kSourceKind;  ///< EventKind of the tail, or SOURCE
-  std::uint8_t dst_kind = kSinkKind;    ///< EventKind of the head, or SINK
-  std::uint8_t bucket = 0;              ///< trace::CycleBucket of the edge
-  SiteId site = trace::kNoSite;         ///< head event's dereference site
-
-  friend bool operator<(const EdgeKey& a, const EdgeKey& b) {
-    if (a.src_kind != b.src_kind) return a.src_kind < b.src_kind;
-    if (a.dst_kind != b.dst_kind) return a.dst_kind < b.dst_kind;
-    if (a.bucket != b.bucket) return a.bucket < b.bucket;
-    return a.site < b.site;
-  }
-  friend bool operator==(const EdgeKey& a, const EdgeKey& b) {
-    return a.src_kind == b.src_kind && a.dst_kind == b.dst_kind &&
-           a.bucket == b.bucket && a.site == b.site;
-  }
-};
 
 /// Spawn signature of a causal chain: kind + site of its first event.
 /// Chains are matched across runs by signature multiset, never by id.
@@ -102,10 +74,6 @@ struct DiffProfile {
   /// invariant.
   std::array<std::uint64_t, kNumMsgClasses + 1> retries_by_class{};
 };
-
-/// Build the diff profile of one in-memory run (extracts its critical
-/// path; the streaming twin is StreamingRunAnalyzer::finish_diff).
-[[nodiscard]] DiffProfile diff_profile(const TraceRun& run);
 
 /// a/b cycle totals for one key of one partition, and their signed delta.
 struct DiffRow {

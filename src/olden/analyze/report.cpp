@@ -1,12 +1,7 @@
 #include "olden/analyze/report.hpp"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <map>
-#include <set>
-#include <unordered_map>
-#include <unordered_set>
 
 namespace olden::analyze {
 
@@ -55,120 +50,8 @@ namespace {
 using jsonio::append_escaped;
 using jsonio::append_kv;
 using trace::CycleBucket;
-using trace::EventKind;
-using trace::TraceEvent;
 
 }  // namespace
-
-RunReport analyze_run(const TraceRun& run, std::size_t top_n) {
-  RunReport rep;
-  rep.path = critical_path(run);
-
-  // --- hottest migration sites -------------------------------------------
-  std::unordered_map<std::uint64_t, std::size_t> by_id;
-  by_id.reserve(run.events.size());
-  for (std::size_t i = 0; i < run.events.size(); ++i) {
-    by_id.emplace(run.events[i].id, i);
-  }
-  // Ordered map so ties rank deterministically by site id.
-  std::map<SiteId, SiteStats> sites;
-  for (const TraceEvent& e : run.events) {
-    if (e.kind == EventKind::kMigrationDepart) {
-      SiteStats& s = sites[e.site];
-      s.site = e.site;
-      ++s.departs;
-    } else if (e.kind == EventKind::kMigrationArrive &&
-               e.parent != trace::kNoEvent) {
-      const auto it = by_id.find(e.parent);
-      if (it == by_id.end()) continue;
-      const TraceEvent& dep = run.events[it->second];
-      if (dep.kind != EventKind::kMigrationDepart) continue;
-      SiteStats& s = sites[dep.site];
-      s.site = dep.site;
-      ++s.arrives_matched;
-      s.transit_cycles += e.arg1;
-    }
-  }
-  for (const auto& [site, s] : sites) rep.hot_sites.push_back(s);
-  std::stable_sort(rep.hot_sites.begin(), rep.hot_sites.end(),
-                   [](const SiteStats& a, const SiteStats& b) {
-                     return a.departs > b.departs;
-                   });
-  if (rep.hot_sites.size() > top_n) rep.hot_sites.resize(top_n);
-
-  // --- page heat and ping-pong -------------------------------------------
-  struct PageAcc {
-    PageStats stats;
-    std::set<ProcId> sharers;
-    /// Processors holding a pending invalidate for this page: the next
-    /// fill there completes an invalidate-then-refill round trip.
-    std::unordered_set<ProcId> invalidated_on;
-  };
-  std::map<std::uint64_t, PageAcc> pages;
-  for (const TraceEvent& e : run.events) {
-    switch (e.kind) {
-      case EventKind::kCacheHit:
-      case EventKind::kCacheMiss: {
-        PageAcc& a = pages[e.arg0];
-        a.stats.page = e.arg0;
-        ++a.stats.heat;
-        break;
-      }
-      case EventKind::kCacheLineFill: {
-        PageAcc& a = pages[e.arg0];
-        a.stats.page = e.arg0;
-        ++a.stats.fills;
-        a.sharers.insert(e.proc);
-        if (a.invalidated_on.erase(e.proc) > 0) ++a.stats.ping_pongs;
-        break;
-      }
-      case EventKind::kLineInvalidate:
-      case EventKind::kTimestampCheck: {
-        if (e.arg1 == 0) break;  // nothing was actually dropped
-        PageAcc& a = pages[e.arg0];
-        a.stats.page = e.arg0;
-        ++a.stats.invalidates;
-        a.invalidated_on.insert(e.proc);
-        break;
-      }
-      case EventKind::kFaultDrop:
-        ++rep.faults.drops;
-        break;
-      case EventKind::kFaultDelay:
-        ++rep.faults.delays;
-        break;
-      case EventKind::kFaultDuplicate:
-        ++rep.faults.duplicates;
-        break;
-      case EventKind::kRetransmit:
-        rep.faults.count_retransmit(e.arg0);
-        break;
-      case EventKind::kDupSuppressed:
-        ++rep.faults.dup_suppressed;
-        break;
-      case EventKind::kHiccup:
-        ++rep.faults.hiccups;
-        rep.faults.hiccup_cycles += e.arg0;
-        break;
-      default:
-        break;
-    }
-  }
-  rep.pages_tracked = pages.size();
-  for (auto& [page, a] : pages) {
-    a.stats.sharers = static_cast<std::uint32_t>(a.sharers.size());
-    a.stats.false_sharing_suspect =
-        a.stats.ping_pongs > 0 && a.stats.sharers >= 2;
-    rep.ping_pong_total += a.stats.ping_pongs;
-    rep.hot_pages.push_back(a.stats);
-  }
-  std::stable_sort(rep.hot_pages.begin(), rep.hot_pages.end(),
-                   [](const PageStats& a, const PageStats& b) {
-                     return a.heat > b.heat;
-                   });
-  if (rep.hot_pages.size() > top_n) rep.hot_pages.resize(top_n);
-  return rep;
-}
 
 std::string human_report(const TraceRun& run, const RunReport& rep) {
   std::string out;
@@ -177,7 +60,7 @@ std::string human_report(const TraceRun& run, const RunReport& rep) {
                 "run: %s (%u procs, makespan %" PRIu64 " cycles, %" PRIu64
                 " events%s)\n",
                 run.label.c_str(), run.nprocs, run.makespan,
-                run.event_count(), run.truncated() ? ", TRUNCATED" : "");
+                run.num_events, run.truncated() ? ", TRUNCATED" : "");
   out += buf;
 
   out += "critical path:\n";
@@ -197,33 +80,17 @@ std::string human_report(const TraceRun& run, const RunReport& rep) {
   }
 
   // The handful of edges that dominate the path usually name the fix.
-  std::vector<std::size_t> heavy(rep.path.steps.size());
-  for (std::size_t i = 0; i < heavy.size(); ++i) heavy[i] = i;
-  std::stable_sort(heavy.begin(), heavy.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return rep.path.steps[a].weight > rep.path.steps[b].weight;
-                   });
-  if (heavy.size() > 5) heavy.resize(5);
   out += "  heaviest edges:\n";
-  if (rep.path.steps.empty() && rep.path.edges > 0) {
-    out += "    (per-edge detail not retained in streaming mode)\n";
-  }
-  for (std::size_t i : heavy) {
-    const PathStep& s = rep.path.steps[i];
-    const char* src_name = "SOURCE";
-    if (s.src != PathStep::kSourceStep) {
-      src_name = to_string(run.events[s.src].kind);
-    }
-    const char* dst_name = "SINK";
+  for (const PathEdge& e : rep.path.heaviest) {
     char where[64] = "";
-    if (s.event != PathStep::kSinkStep) {
-      const TraceEvent& e = run.events[s.event];
-      dst_name = to_string(e.kind);
+    if (e.key.dst_kind != EdgeKey::kSinkKind) {
       std::snprintf(where, sizeof where, " @ proc %u t=%" PRIu64, e.proc,
                     e.time);
     }
     std::snprintf(buf, sizeof buf, "    %10" PRIu64 " %-12s %s -> %s%s\n",
-                  s.weight, to_string(s.bucket), src_name, dst_name, where);
+                  e.weight, to_string(static_cast<CycleBucket>(e.key.bucket)),
+                  edge_kind_name(e.key.src_kind),
+                  edge_kind_name(e.key.dst_kind), where);
     out += buf;
   }
 
@@ -314,7 +181,7 @@ std::string json_report(const TraceFile& file,
     out += "\",";
     append_kv(out, "nprocs", run.nprocs);
     append_kv(out, "makespan_cycles", run.makespan);
-    append_kv(out, "events", run.event_count());
+    append_kv(out, "events", run.num_events);
     append_kv(out, "events_dropped", run.events_dropped);
     out += "\"truncated\":";
     out += run.truncated() ? "true" : "false";

@@ -17,6 +17,8 @@ using trace::TraceEvent;
 constexpr Cycles kInf = std::numeric_limits<Cycles>::max();
 /// pred sentinel for "reached straight from SOURCE".
 constexpr std::uint64_t kFromSource = ~std::uint64_t{0};
+/// Edge-head sentinel for the synthetic SINK.
+constexpr std::uint64_t kSink = ~std::uint64_t{0} - 1;
 /// last_on_proc sentinel for "no event on this processor yet".
 constexpr std::uint64_t kNone = ~std::uint64_t{0};
 /// parent_ sentinel: no parent, or parent dropped at the trace limit.
@@ -27,6 +29,22 @@ constexpr std::uint8_t kProcNone = 0xFF;
 static_assert(trace::kNumEventKinds < 0x80,
               "kind must fit 7 bits next to the arg0-sign bit");
 static_assert(kMaxProcs < kProcNone, "proc must fit a byte with a sentinel");
+
+/// Offer one path edge to the heaviest-edges list (weight descending, ties
+/// in path order). The walk visits the path back to front, so `e` comes
+/// before every kept edge in path order: it ranks ahead of the first one
+/// it ties or outweighs.
+void keep_heaviest(std::vector<PathEdge>* heaviest, const PathEdge& e) {
+  const auto at = std::find_if(
+      heaviest->begin(), heaviest->end(),
+      [&](const PathEdge& kept) { return kept.weight <= e.weight; });
+  if (at - heaviest->begin() >=
+      static_cast<std::ptrdiff_t>(CriticalPath::kHeaviestEdges)) {
+    return;
+  }
+  heaviest->insert(at, e);
+  if (heaviest->size() > CriticalPath::kHeaviestEdges) heaviest->pop_back();
+}
 
 }  // namespace
 
@@ -61,8 +79,9 @@ bool StreamingRunAnalyzer::add(const TraceEvent& e) {
   if (e.id != i) {
     return set_error("event record " + std::to_string(i) + " carries id " +
                      std::to_string(e.id) +
-                     " (streaming analysis requires the runtime's dense "
-                     "per-run ids; re-analyze without --stream)");
+                     ": the trace breaks the dense-id invariant (record i "
+                     "of a run must carry id i, as the runtime numbers "
+                     "them)");
   }
   std::uint64_t parent = kNoParent;
   if (e.parent != trace::kNoEvent && e.parent < expected_events_) {
@@ -70,8 +89,8 @@ bool StreamingRunAnalyzer::add(const TraceEvent& e) {
       return set_error("event " + std::to_string(i) +
                        " carries a forward parent link " +
                        std::to_string(e.parent) +
-                       "; streaming analysis requires emission-order "
-                       "traces — re-analyze without --stream");
+                       ": the trace breaks the backward-parent invariant "
+                       "(a parent must be emitted before its child)");
     }
     parent = e.parent;
   }
@@ -79,21 +98,25 @@ bool StreamingRunAnalyzer::add(const TraceEvent& e) {
   time_.push_back(e.time);
   kindbits_.push_back(static_cast<std::uint8_t>(e.kind) |
                       (e.arg0 > 0 ? std::uint8_t{0x80} : std::uint8_t{0}));
-  proc_.push_back(e.proc < nprocs_ ? static_cast<std::uint8_t>(e.proc)
-                                   : kProcNone);
+  if (e.proc < nprocs_) {
+    proc_.push_back(static_cast<std::uint8_t>(e.proc));
+  } else {
+    proc_.push_back(kProcNone);
+    proc_out_of_range_.emplace(i, e.proc);
+  }
   parent_.push_back(parent);
   if (diff_) {
     site_.push_back(e.site);
     page_.push_back(classify::page_of(e.kind, e.arg0));
     // First sighting of a chain in file order carries its spawn
-    // signature — exactly how diff_profile() counts over run.events.
+    // signature.
     if (e.chain != trace::kNoChain && chains_seen_.insert(e.chain).second) {
       ++chains_;
       ++chain_counts_[{static_cast<std::uint8_t>(e.kind), e.site}];
     }
   }
 
-  // --- report aggregation (analyze_run, fed one event at a time) ---------
+  // --- report aggregation ------------------------------------------------
   switch (e.kind) {
     case EventKind::kMigrationDepart: {
       depart_site_.emplace(i, e.site);
@@ -168,9 +191,10 @@ void StreamingRunAnalyzer::extract_critical_path(CriticalPath* path,
   path->attribution.fill(0);
   const std::uint64_t n = count_;
 
-  // Topological order: events by (time, id) — identical to the in-memory
-  // extractor's sort, which is what makes the per-processor chains (and
-  // therefore every tie-break downstream) come out the same.
+  // Topological order: events by (time, id). Parent links always point at
+  // earlier-emitted (smaller-id) events, so this sorts every retained
+  // edge's source before its destination, and walking it per processor
+  // yields each processor's chain in order.
   std::vector<std::uint64_t> order(n);
   std::iota(order.begin(), order.end(), std::uint64_t{0});
   std::sort(order.begin(), order.end(),
@@ -184,10 +208,12 @@ void StreamingRunAnalyzer::extract_critical_path(CriticalPath* path,
   std::vector<std::uint8_t> bucket(n, 0);
   std::vector<std::uint64_t> last_on_proc(nprocs_, kNone);
 
-  // Min-idle DP. The in-memory extractor relaxes sources in topological
-  // order (SOURCE, then `order`), each source's edges in insertion order
-  // (chain edge before causal edge), improving on strict `<` only. Per
-  // destination that is equivalent to evaluating its incoming candidates
+  // Min-idle DP: minimize idle-attributed cycles from SOURCE. Every path
+  // has the same total weight (tight edges telescope), so "least idle"
+  // picks the chain of work that actually determined the makespan. The
+  // tie-break rule is relaxation in topological order (SOURCE, then
+  // `order`), each source's edges chain before causal, improving on strict
+  // `<` only. Per destination that is evaluating its incoming candidates
   // ordered by source position — SOURCE first, then (time, id), chain
   // before causal on a shared source — which needs no adjacency lists.
   struct Cand {
@@ -222,7 +248,7 @@ void StreamingRunAnalyzer::extract_critical_path(CriticalPath* path,
     }
     const std::uint64_t par = parent_[idx];
     // Skipped when the edge would be negative (arrivals are stamped with
-    // delivery time) or the parent is unreachable — same as in-memory.
+    // delivery time) or the parent is unreachable.
     if (par != kNoParent && time_[par] <= time_[idx] && cost[par] != kInf) {
       causal.src = par;
       causal.bucket = classify::causal_bucket(
@@ -298,48 +324,44 @@ void StreamingRunAnalyzer::extract_critical_path(CriticalPath* path,
   }
 
   // Walk SINK -> SOURCE accumulating attribution; edge weights are tight,
-  // so each is just the time gap to the predecessor. In diff mode the same
-  // walk charges each edge's cycles to the profile's site / page / edge
-  // partitions (zero-weight edges skipped, as in diff_profile()).
-  const auto src_kind_of = [&](std::uint64_t src) {
-    return src == kFromSource
-               ? EdgeKey::kSourceKind
-               : static_cast<std::uint8_t>(kindbits_[src] & 0x7F);
-  };
-  const Cycles sink_w =
-      makespan_ - (sink_pred == kFromSource ? 0 : time_[sink_pred]);
-  path->attribution[static_cast<std::size_t>(CycleBucket::kIdle)] += sink_w;
-  path->total_cycles += sink_w;
-  ++path->edges;
-  if (profile != nullptr && sink_w > 0) {
-    EdgeKey key;
-    key.src_kind = src_kind_of(sink_pred);
-    key.dst_kind = EdgeKey::kSinkKind;
-    key.bucket = static_cast<std::uint8_t>(CycleBucket::kIdle);
-    key.site = trace::kNoSite;
-    profile->site_cycles[trace::kNoSite] += sink_w;
-    profile->page_cycles[classify::kNoPage] += sink_w;
-    profile->edge_cycles[key] += sink_w;
-  }
-  std::uint64_t cur = sink_pred;
-  while (cur != kFromSource) {
-    const std::uint64_t p = pred[cur];
-    const Cycles ts = p == kFromSource ? 0 : time_[p];
-    const Cycles w = time_[cur] - ts;
-    path->attribution[bucket[cur]] += w;
+  // so each is just the time gap to the predecessor. The same walk keeps
+  // the heaviest edges and, in diff mode, charges each edge's cycles to
+  // the profile's site / page / edge partitions (zero-weight edges
+  // skipped: they cannot carry a delta).
+  const auto take_edge = [&](std::uint64_t src, std::uint64_t dst,
+                             std::uint8_t edge_bucket) {
+    const Cycles w = (dst == kSink ? makespan_ : time_[dst]) -
+                     (src == kFromSource ? 0 : time_[src]);
+    path->attribution[edge_bucket] += w;
     path->total_cycles += w;
     ++path->edges;
-    if (profile != nullptr && w > 0) {
-      EdgeKey key;
-      key.src_kind = src_kind_of(p);
-      key.dst_kind = static_cast<std::uint8_t>(kindbits_[cur] & 0x7F);
-      key.bucket = bucket[cur];
-      key.site = site_[cur];
-      profile->site_cycles[site_[cur]] += w;
-      profile->page_cycles[page_[cur]] += w;
-      profile->edge_cycles[key] += w;
+    PathEdge edge;
+    edge.key.src_kind = src == kFromSource
+                            ? EdgeKey::kSourceKind
+                            : static_cast<std::uint8_t>(kindbits_[src] & 0x7F);
+    edge.key.bucket = edge_bucket;
+    edge.weight = w;
+    std::uint64_t page = classify::kNoPage;
+    if (dst != kSink) {
+      edge.key.dst_kind = static_cast<std::uint8_t>(kindbits_[dst] & 0x7F);
+      edge.proc = proc_[dst] != kProcNone ? proc_[dst]
+                                          : proc_out_of_range_.at(dst);
+      edge.time = time_[dst];
+      if (diff_) {
+        edge.key.site = site_[dst];
+        page = page_[dst];
+      }
     }
-    cur = p;
+    keep_heaviest(&path->heaviest, edge);
+    if (profile != nullptr && w > 0) {
+      profile->site_cycles[edge.key.site] += w;
+      profile->page_cycles[page] += w;
+      profile->edge_cycles[edge.key] += w;
+    }
+  };
+  take_edge(sink_pred, kSink, static_cast<std::uint8_t>(CycleBucket::kIdle));
+  for (std::uint64_t cur = sink_pred; cur != kFromSource; cur = pred[cur]) {
+    take_edge(pred[cur], cur, bucket[cur]);
   }
 }
 
@@ -382,7 +404,7 @@ bool StreamingRunAnalyzer::finish_impl(RunReport* out, DiffProfile* profile,
   RunReport rep;
   extract_critical_path(&rep.path, profile);
 
-  // --- rank sites and pages (exactly analyze_run's ordering) -------------
+  // --- rank sites and pages ----------------------------------------------
   for (const auto& [site, s] : sites_) rep.hot_sites.push_back(s);
   std::stable_sort(rep.hot_sites.begin(), rep.hot_sites.end(),
                    [](const SiteStats& a, const SiteStats& b) {
@@ -407,6 +429,39 @@ bool StreamingRunAnalyzer::finish_impl(RunReport* out, DiffProfile* profile,
   rep.faults = faults_;
   *out = std::move(rep);
   return true;
+}
+
+bool analyze_trace(TraceStream* ts, std::size_t top_n, TraceFile* file,
+                   std::vector<RunReport>* reports,
+                   std::vector<DiffProfile>* profiles, std::string* err) {
+  constexpr std::size_t kBatch = 1 << 16;
+  file->version = ts->version();
+  std::vector<TraceEvent> batch;
+  TraceRun run;
+  while (ts->next_run(&run, err)) {
+    StreamingRunAnalyzer an(run, top_n);
+    if (profiles != nullptr) an.enable_diff_profile();
+    while (ts->next_events(&batch, kBatch, err)) {
+      for (const TraceEvent& e : batch) {
+        if (!an.add(e)) break;
+      }
+      if (!an.error().empty()) break;
+    }
+    if (!err->empty()) return false;
+    RunReport rep;
+    DiffProfile profile;
+    const bool ok = profiles != nullptr ? an.finish_diff(&rep, &profile, err)
+                                        : an.finish(&rep, err);
+    if (!ok) {
+      *err = (ts->path().empty() ? "" : ts->path() + ": ") + "run '" +
+             run.label + "': " + *err;
+      return false;
+    }
+    reports->push_back(std::move(rep));
+    if (profiles != nullptr) profiles->push_back(std::move(profile));
+    file->runs.push_back(run);
+  }
+  return err->empty();
 }
 
 }  // namespace olden::analyze

@@ -1,40 +1,36 @@
-// Bounded-memory analysis of one traced run.
+// Bounded-memory analysis of traced runs: the one analyzer behind
+// olden-analyze's report and --diff modes.
 //
-// The in-memory pipeline (read_binary_trace -> critical_path/analyze_run)
-// keeps every event of every run resident — roughly 250 bytes per event
-// across the parsed vector and the DP's adjacency lists — which rules out
-// paper-scale traces (hundreds of MB to GB of log). This analyzer consumes
-// the run as a stream, in file order, and retains only the packed
-// per-event fields the critical-path DP needs later (time, kind + an
-// arg0-sign bit, processor, parent: 18 bytes per event), feeding the
-// hot-site / page / fault aggregations as events fly by; their maps scale
-// with the footprint of the simulated heap, not the trace length.
+// StreamingRunAnalyzer consumes a run as a stream, in file order, and
+// retains only the packed per-event fields the critical-path DP needs
+// later (time, kind + an arg0-sign bit, processor, parent: 18 bytes per
+// event), feeding the hot-site / page / fault aggregations as events fly
+// by; their maps scale with the footprint of the simulated heap, not the
+// trace length. A paper-scale trace of hundreds of MB to GB is therefore
+// analyzed without ever being loaded.
 //
-// finish() then extracts the critical path over the packed arrays. It
-// cannot run the DP online in file order — per-processor streams are not
-// time-monotone (arrivals are stamped with message delivery time while
-// flush events use the processor clock), so the per-processor chains only
-// exist after the (time, id) sort the in-memory extractor performs. The
-// extraction replicates that exactly: the same sort, the same edges (the
-// per-processor chain or SOURCE boundary edge plus the causal parent
-// edge), the same relaxation order and strict-improvement tie-breaks, the
-// same SINK closure — evaluated per destination from the packed arrays
-// instead of materialized adjacency lists. Peak memory is the packed 18
-// bytes plus ~25 DP bytes per event, still an order of magnitude under the
-// in-memory path, and the resulting attribution, total and edge count —
-// and therefore the olden-analyze JSON document — are byte-identical.
+// finish() then extracts the critical path (critical_path.hpp) over the
+// packed arrays. It cannot run the DP online in file order —
+// per-processor streams are not time-monotone (arrivals are stamped with
+// message delivery time while flush events use the processor clock), so
+// the per-processor chains only exist after a (time, id) sort. The DP
+// relaxes the sorted events in that order, each event's incoming edges
+// (its per-processor chain or SOURCE boundary edge, then its causal
+// parent edge) in the order their sources were sorted, improving on
+// strict `<` only, and closes at SINK the same way. Peak memory is the
+// packed 18 bytes plus ~25 DP bytes per event.
 //
 // Two stream invariants are verified as the run is read (runtime traces
-// satisfy them; synthetic ones that do not fail loudly instead of
-// diverging silently):
+// satisfy them; traces that do not are refused loudly rather than
+// analyzed wrongly):
 //
 //   * ids are dense: record i of a run carries id == i (the observer
 //     numbers events per run and truncation only drops the tail),
 //   * parent links point backwards (a parent is emitted before its child).
 //
-// The per-edge step list is the one thing not reconstructed (it would pin
-// event details in memory); CriticalPath::edges carries the path length
-// instead.
+// The SINK -> SOURCE walk that sums the attribution also keeps the
+// path's CriticalPath::kHeaviestEdges heaviest edges, so no per-edge list
+// is ever materialized.
 #pragma once
 
 #include <cstdint>
@@ -54,14 +50,13 @@ namespace olden::analyze {
 class StreamingRunAnalyzer {
  public:
   /// `header` is the run as returned by TraceStream::next_run (events
-  /// not yet read); top_n bounds the hot-site / hot-page lists exactly as
-  /// in analyze_run.
+  /// not yet read); top_n bounds the hot-site / hot-page lists.
   StreamingRunAnalyzer(const TraceRun& header, std::size_t top_n);
 
   /// Opt in to diff-profile retention before the first add(): keeps the
   /// head event's site and page per event (12 extra bytes each) and
   /// tracks chain spawn signatures incrementally, so finish_diff() can
-  /// hand back the same DiffProfile diff_profile() builds in memory.
+  /// hand back the run's DiffProfile.
   void enable_diff_profile();
 
   /// Feed the run's events in file order. Returns false once a stream
@@ -75,8 +70,7 @@ class StreamingRunAnalyzer {
 
   /// finish() plus the cross-run diff profile (diff.hpp), extracted in
   /// the same DP walk. Requires enable_diff_profile() before the first
-  /// add(). The profile is identical to diff_profile() over the same run
-  /// parsed in memory, so diff reports are byte-identical across modes.
+  /// add().
   bool finish_diff(RunReport* out, DiffProfile* profile, std::string* err);
 
   [[nodiscard]] const std::string& error() const { return err_; }
@@ -111,8 +105,11 @@ class StreamingRunAnalyzer {
   /// the top bit — everything the edge classifiers need of an endpoint.
   std::vector<std::uint8_t> kindbits_;
   /// Processor, or kProcNone for records whose proc is out of range
-  /// (corrupt records get causal edges only, like in-memory).
+  /// (corrupt records get causal edges only).
   std::vector<std::uint8_t> proc_;
+  /// The raw processor of each kProcNone record, for the heaviest-edges
+  /// table.
+  std::unordered_map<std::uint64_t, std::uint32_t> proc_out_of_range_;
   /// Parent id, or kNoParent when absent / dropped at the trace limit.
   std::vector<std::uint64_t> parent_;
 
@@ -124,11 +121,20 @@ class StreamingRunAnalyzer {
   std::map<ChainSig, std::uint64_t> chain_counts_;
   std::uint64_t chains_ = 0;
 
-  // Report aggregation (analyze_run's maps, fed incrementally).
+  // Report aggregation, fed one event at a time.
   std::unordered_map<std::uint64_t, SiteId> depart_site_;  ///< depart id->site
   std::map<SiteId, SiteStats> sites_;
   std::map<std::uint64_t, PageAcc> pages_;
   FaultSummary faults_;
 };
+
+/// Analyze every run of an opened trace, reading its events in bounded
+/// batches. `file` receives the trace version and run headers, `reports`
+/// one report per run, and `profiles`, when non-null, one diff profile per
+/// run. Returns false with *err (non-null) naming the file and run on
+/// malformed input or a broken stream invariant.
+bool analyze_trace(TraceStream* ts, std::size_t top_n, TraceFile* file,
+                   std::vector<RunReport>* reports,
+                   std::vector<DiffProfile>* profiles, std::string* err);
 
 }  // namespace olden::analyze

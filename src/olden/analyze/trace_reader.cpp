@@ -9,198 +9,6 @@ namespace olden::analyze {
 
 namespace {
 
-/// Little-endian cursor over the raw bytes; every read is bounds-checked
-/// so a truncated or corrupt log fails cleanly instead of reading past
-/// the buffer.
-class Cursor {
- public:
-  explicit Cursor(std::string_view bytes) : bytes_(bytes) {}
-
-  bool u8(std::uint8_t* v) {
-    if (pos_ + 1 > bytes_.size()) return false;
-    *v = static_cast<std::uint8_t>(bytes_[pos_++]);
-    return true;
-  }
-  bool u32(std::uint32_t* v) {
-    if (pos_ + 4 > bytes_.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<std::uint32_t>(
-                static_cast<std::uint8_t>(bytes_[pos_ + i]))
-            << (8 * i);
-    }
-    pos_ += 4;
-    return true;
-  }
-  bool u64(std::uint64_t* v) {
-    if (pos_ + 8 > bytes_.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<std::uint64_t>(
-                static_cast<std::uint8_t>(bytes_[pos_ + i]))
-            << (8 * i);
-    }
-    pos_ += 8;
-    return true;
-  }
-  bool skip(std::size_t n) {
-    if (pos_ + n > bytes_.size()) return false;
-    pos_ += n;
-    return true;
-  }
-  bool str(std::size_t n, std::string* v) {
-    if (pos_ + n > bytes_.size()) return false;
-    v->assign(bytes_.data() + pos_, n);
-    pos_ += n;
-    return true;
-  }
-  [[nodiscard]] std::size_t remaining() const { return bytes_.size() - pos_; }
-
- private:
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-};
-
-bool fail(std::string* err, const std::string& msg) {
-  if (err != nullptr) *err = msg;
-  return false;
-}
-
-}  // namespace
-
-bool parse_binary_trace(std::string_view bytes, TraceFile* out,
-                        std::string* err) {
-  if (bytes.size() < 8) return fail(err, "trace too short for magic");
-  if (std::memcmp(bytes.data(), trace::kBinaryTraceMagicV1, 8) == 0) {
-    return fail(err,
-                "binary trace is format v1 (OLDNTRC1); this analyzer "
-                "requires v2 (OLDNTRC2) — regenerate the trace with a "
-                "current bench binary");
-  }
-  if (std::memcmp(bytes.data(), trace::kBinaryTraceMagic, 8) != 0) {
-    return fail(err, "not an Olden binary trace (bad magic)");
-  }
-
-  Cursor c(bytes);
-  (void)c.skip(8);
-  std::uint32_t version = 0;
-  std::uint32_t nruns = 0;
-  if (!c.u32(&version) || !c.u32(&nruns)) {
-    return fail(err, "truncated trace header");
-  }
-  if (version != static_cast<std::uint32_t>(trace::kBinaryTraceVersion)) {
-    return fail(err, "unsupported binary trace version " +
-                         std::to_string(version) + " (expected " +
-                         std::to_string(trace::kBinaryTraceVersion) + ")");
-  }
-
-  // A run header is at least 32 bytes (label length + nprocs + makespan +
-  // dropped + event count), so a claimed run count past this bound cannot
-  // be satisfied by the bytes present — reject it before reserving
-  // anything, or a corrupt count would turn into a giant allocation.
-  if (nruns > c.remaining() / 32) {
-    return fail(err, "run count " + std::to_string(nruns) +
-                         " exceeds file size (v" + std::to_string(version) +
-                         " header corrupt?)");
-  }
-
-  out->version = static_cast<int>(version);
-  out->runs.clear();
-  out->runs.reserve(nruns);
-  for (std::uint32_t r = 0; r < nruns; ++r) {
-    TraceRun run;
-    std::uint32_t label_len = 0;
-    if (!c.u32(&label_len)) {
-      return fail(err, "truncated run header (run " + std::to_string(r) + ")");
-    }
-    if (label_len > c.remaining()) {
-      return fail(err, "run label length " + std::to_string(label_len) +
-                           " exceeds file size (run " + std::to_string(r) +
-                           ")");
-    }
-    if (!c.str(label_len, &run.label)) {
-      return fail(err, "truncated run header (run " + std::to_string(r) + ")");
-    }
-    std::uint32_t nprocs = 0;
-    std::uint64_t nevents = 0;
-    if (!c.u32(&nprocs) || !c.u64(&run.makespan) ||
-        !c.u64(&run.events_dropped) || !c.u64(&nevents)) {
-      return fail(err, "truncated run header (run " + std::to_string(r) + ")");
-    }
-    // The simulator never runs more than kMaxProcs processors; a larger
-    // value is corruption, and passing it through would size analysis
-    // arrays (per-processor chains) from attacker-controlled bytes.
-    if (nprocs == 0 || nprocs > kMaxProcs) {
-      return fail(err, "implausible processor count " +
-                           std::to_string(nprocs) + " (run " +
-                           std::to_string(r) + ", max " +
-                           std::to_string(kMaxProcs) + ")");
-    }
-    run.nprocs = nprocs;
-    if (nevents > c.remaining() / trace::kBinaryRecordBytes) {
-      return fail(err, "event count exceeds file size (run " +
-                           std::to_string(r) + ")");
-    }
-    run.num_events = nevents;
-    run.events.reserve(nevents);
-    for (std::uint64_t i = 0; i < nevents; ++i) {
-      trace::TraceEvent e;
-      std::uint32_t proc = 0;
-      std::uint8_t kind = 0;
-      std::uint32_t site = 0;
-      const bool ok = c.u64(&e.time) && c.u32(&proc) && c.u64(&e.thread) &&
-                      c.u8(&kind) && c.skip(3) && c.u32(&site) &&
-                      c.u64(&e.arg0) && c.u64(&e.arg1) && c.u64(&e.id) &&
-                      c.u64(&e.chain) && c.u64(&e.parent);
-      if (!ok) return fail(err, "truncated event record");
-      if (kind >= trace::kNumEventKinds) {
-        return fail(err, "event record with out-of-range kind " +
-                             std::to_string(kind));
-      }
-      e.proc = proc;
-      e.kind = static_cast<trace::EventKind>(kind);
-      e.site = site;
-      run.events.push_back(e);
-    }
-    out->runs.push_back(std::move(run));
-  }
-  // The streaming sink back-patches run/event counts at finalize; a crash
-  // (or a copy taken mid-write) leaves zeroed counts with the records
-  // still present. Accepting that would silently analyze an empty or
-  // partial prefix, so any bytes past the declared runs are an error.
-  if (c.remaining() > 0) {
-    return fail(err, "v" + std::to_string(version) + " header declares " +
-                         std::to_string(nruns) + " run(s) but " +
-                         std::to_string(c.remaining()) +
-                         " byte(s) follow the last declared record — "
-                         "header counts disagree with records present "
-                         "(unfinalized streaming trace?)");
-  }
-  return true;
-}
-
-bool read_binary_trace(const std::string& path, TraceFile* out,
-                       std::string* err) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return fail(err, "cannot open " + path);
-  std::string body;
-  char buf[1 << 16];
-  std::size_t got;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) body.append(buf, got);
-  std::fclose(f);
-  if (!parse_binary_trace(body, out, err)) {
-    if (err != nullptr) *err = path + ": " + *err;
-    return false;
-  }
-  return true;
-}
-
-namespace {
-
-bool read_exact(std::FILE* f, void* dst, std::size_t n) {
-  return std::fread(dst, 1, n, f) == n;
-}
-
 std::uint32_t decode_u32le(const unsigned char* b) {
   std::uint32_t v = 0;
   for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
@@ -224,8 +32,24 @@ bool TraceStream::fail(std::string* err, const std::string& msg) {
   return false;
 }
 
+bool TraceStream::read(void* dst, std::uint64_t n) {
+  if (n > file_size_ - pos_) return false;
+  if (file_ != nullptr) {
+    const bool ok =
+        dst == nullptr
+            ? std::fseek(file_, static_cast<long>(n), SEEK_CUR) == 0
+            : std::fread(dst, 1, n, file_) == n;
+    if (!ok) return false;
+  } else if (dst != nullptr && n > 0) {
+    std::memcpy(dst, bytes_.data() + pos_, n);
+  }
+  pos_ += n;
+  return true;
+}
+
 bool TraceStream::open(const std::string& path, std::string* err) {
-  if (file_ != nullptr) return fail(err, "stream already open");
+  if (opened_) return fail(err, "stream already open");
+  opened_ = true;
   path_ = path;
   file_ = std::fopen(path.c_str(), "rb");
   if (file_ == nullptr) {
@@ -237,12 +61,20 @@ bool TraceStream::open(const std::string& path, std::string* err) {
   if (end < 0) return fail(err, "seek failed");
   file_size_ = static_cast<std::uint64_t>(end);
   if (std::fseek(file_, 0, SEEK_SET) != 0) return fail(err, "seek failed");
+  return read_header(err);
+}
 
+bool TraceStream::open_bytes(std::string_view bytes, std::string* err) {
+  if (opened_) return fail(err, "stream already open");
+  opened_ = true;
+  bytes_ = bytes;
+  file_size_ = bytes.size();
+  return read_header(err);
+}
+
+bool TraceStream::read_header(std::string* err) {
   unsigned char magic[8];
-  if (file_size_ < 8 || !read_exact(file_, magic, 8)) {
-    return fail(err, "trace too short for magic");
-  }
-  pos_ = 8;
+  if (!read(magic, 8)) return fail(err, "trace too short for magic");
   if (std::memcmp(magic, trace::kBinaryTraceMagicV1, 8) == 0) {
     return fail(err,
                 "binary trace is format v1 (OLDNTRC1); this analyzer "
@@ -253,8 +85,7 @@ bool TraceStream::open(const std::string& path, std::string* err) {
     return fail(err, "not an Olden binary trace (bad magic)");
   }
   unsigned char hdr[8];
-  if (!read_exact(file_, hdr, 8)) return fail(err, "truncated trace header");
-  pos_ += 8;
+  if (!read(hdr, 8)) return fail(err, "truncated trace header");
   const std::uint32_t version = decode_u32le(hdr);
   num_runs_ = decode_u32le(hdr + 4);
   if (version != static_cast<std::uint32_t>(trace::kBinaryTraceVersion)) {
@@ -262,8 +93,9 @@ bool TraceStream::open(const std::string& path, std::string* err) {
                          std::to_string(version) + " (expected " +
                          std::to_string(trace::kBinaryTraceVersion) + ")");
   }
-  // Same plausibility bound as parse_binary_trace: a run header is at
-  // least 32 bytes, so a run count the file cannot hold is corruption.
+  // A run header is at least 32 bytes (label length + nprocs + makespan +
+  // dropped + event count), so a run count the file cannot hold is
+  // corruption.
   if (num_runs_ > (file_size_ - pos_) / 32) {
     return fail(err, "run count " + std::to_string(num_runs_) +
                          " exceeds file size (v" + std::to_string(version) +
@@ -275,20 +107,19 @@ bool TraceStream::open(const std::string& path, std::string* err) {
 
 bool TraceStream::next_run(TraceRun* run, std::string* err) {
   if (err != nullptr) err->clear();
-  if (file_ == nullptr) return fail(err, "stream not open");
+  if (version_ == 0) return fail(err, "stream not open");
   if (run_events_left_ > 0) {
-    // Caller moved on without draining the events: seek past them.
-    const std::uint64_t skip = run_events_left_ * trace::kBinaryRecordBytes;
-    if (std::fseek(file_, static_cast<long>(skip), SEEK_CUR) != 0) {
+    // Caller moved on without draining the events: skip past them.
+    if (!read(nullptr, run_events_left_ * trace::kBinaryRecordBytes)) {
       return fail(err, "seek failed");
     }
-    pos_ += skip;
     run_events_left_ = 0;
   }
   if (runs_delivered_ >= num_runs_) {
-    // Same trailing-bytes rejection as parse_binary_trace: a clean end of
-    // file must land exactly on the file size, or the back-patched header
-    // under-claims what was written (unfinalized streaming trace).
+    // A clean end of file must land exactly on the file size, or the
+    // back-patched header under-claims what was written (the sink
+    // back-patches run/event counts at finalize; a crash, or a copy taken
+    // mid-write, leaves zeroed counts with the records still present).
     if (pos_ != file_size_) {
       return fail(err,
                   "v" + std::to_string(version_) + " header declares " +
@@ -303,30 +134,30 @@ bool TraceStream::next_run(TraceRun* run, std::string* err) {
   const std::string rno = std::to_string(runs_delivered_);
 
   unsigned char lenb[4];
-  if (!read_exact(file_, lenb, 4)) {
+  if (!read(lenb, 4)) {
     return fail(err, "truncated run header (run " + rno + ")");
   }
-  pos_ += 4;
   const std::uint32_t label_len = decode_u32le(lenb);
   if (label_len > file_size_ - pos_) {
     return fail(err, "run label length " + std::to_string(label_len) +
                          " exceeds file size (run " + rno + ")");
   }
   run->label.resize(label_len);
-  if (label_len > 0 && !read_exact(file_, run->label.data(), label_len)) {
+  if (!read(run->label.data(), label_len)) {
     return fail(err, "truncated run header (run " + rno + ")");
   }
-  pos_ += label_len;
 
   unsigned char tail[4 + 8 + 8 + 8];
-  if (!read_exact(file_, tail, sizeof tail)) {
+  if (!read(tail, sizeof tail)) {
     return fail(err, "truncated run header (run " + rno + ")");
   }
-  pos_ += sizeof tail;
   const std::uint32_t nprocs = decode_u32le(tail);
   run->makespan = decode_u64le(tail + 4);
   run->events_dropped = decode_u64le(tail + 12);
   const std::uint64_t nevents = decode_u64le(tail + 20);
+  // The simulator never runs more than kMaxProcs processors; a larger
+  // value is corruption, and passing it through would size analysis
+  // arrays (per-processor chains) from attacker-controlled bytes.
   if (nprocs == 0 || nprocs > kMaxProcs) {
     return fail(err, "implausible processor count " + std::to_string(nprocs) +
                          " (run " + rno + ", max " + std::to_string(kMaxProcs) +
@@ -337,7 +168,6 @@ bool TraceStream::next_run(TraceRun* run, std::string* err) {
     return fail(err, "event count exceeds file size (run " + rno + ")");
   }
   run->num_events = nevents;
-  run->events.clear();
   run_events_left_ = nevents;
   ++runs_delivered_;
   return true;
@@ -347,16 +177,15 @@ bool TraceStream::next_events(std::vector<trace::TraceEvent>* batch,
                               std::size_t max, std::string* err) {
   if (err != nullptr) err->clear();
   batch->clear();
-  if (file_ == nullptr) return fail(err, "stream not open");
+  if (version_ == 0) return fail(err, "stream not open");
   if (run_events_left_ == 0 || max == 0) return false;  // run exhausted
 
   const std::uint64_t want =
       max < run_events_left_ ? max : run_events_left_;
   buf_.resize(static_cast<std::size_t>(want) * trace::kBinaryRecordBytes);
-  if (!read_exact(file_, buf_.data(), buf_.size())) {
+  if (!read(buf_.data(), buf_.size())) {
     return fail(err, "truncated event record");
   }
-  pos_ += buf_.size();
   run_events_left_ -= want;
 
   batch->reserve(static_cast<std::size_t>(want));

@@ -1,10 +1,11 @@
 // Offline reader for the binary trace log (format v2, "OLDNTRC2").
 //
 // The reader is the bridge between the runtime's observability layer and
-// the analysis engine: it parses the bytes write_binary_trace() produced
-// back into TraceEvents plus the per-run header (nprocs, makespan,
-// dropped-event count) the analyses need. v1 logs are detected by magic
-// and rejected with a versioned error, never mis-parsed.
+// the analysis engine: TraceStream parses the bytes StreamingTraceSink
+// wrote (or binary_trace_bytes() built) back into per-run headers —
+// nprocs, makespan, dropped-event count — and bounded batches of
+// TraceEvents, so a multi-GB trace is never loaded as a whole. v1 logs are
+// detected by magic and rejected with a versioned error, never mis-parsed.
 #pragma once
 
 #include <cstdio>
@@ -16,7 +17,8 @@
 
 namespace olden::analyze {
 
-/// One run parsed back out of a binary trace log.
+/// The header of one run of a binary trace log. Its events are read
+/// separately, in batches (TraceStream::next_events).
 struct TraceRun {
   std::string label;
   ProcId nprocs = 0;
@@ -24,46 +26,30 @@ struct TraceRun {
   /// Events the observer discarded at its retention limit. When non-zero
   /// the event stream is incomplete and analyses flag the run truncated.
   std::uint64_t events_dropped = 0;
-  std::vector<trace::TraceEvent> events;
-  /// Total events recorded in the run's file header. Streaming consumers
-  /// (TraceStream) leave `events` empty and report counts from here;
-  /// event_count() picks the right source either way.
+  /// Events recorded for the run.
   std::uint64_t num_events = 0;
 
   [[nodiscard]] bool truncated() const { return events_dropped > 0; }
-  [[nodiscard]] std::uint64_t event_count() const {
-    return events.empty() ? num_events : events.size();
-  }
 };
 
+/// The run headers of a whole trace file, as the JSON report lists them.
 struct TraceFile {
-  int version = 0;  ///< always kBinaryTraceVersion after a successful parse
+  int version = 0;  ///< always kBinaryTraceVersion after a successful read
   std::vector<TraceRun> runs;
 };
 
-/// Parse an in-memory binary trace. Returns false and sets *err on any
-/// malformed input: wrong magic, v1 logs (named explicitly), truncated
-/// framing, out-of-range event kinds, or trailing bytes past the declared
-/// runs (a back-patched header whose counts disagree with the records
-/// present — e.g. an unfinalized streaming trace — is rejected rather
-/// than silently analyzed as a prefix).
-bool parse_binary_trace(std::string_view bytes, TraceFile* out,
-                        std::string* err);
-
-/// Read and parse a binary trace file.
-bool read_binary_trace(const std::string& path, TraceFile* out,
-                       std::string* err);
-
-/// Streaming reader over a binary trace file: run headers and bounded
-/// event batches instead of one giant vector, so multi-GB traces can be
-/// analyzed without loading them (see olden-analyze --stream). Applies the
-/// same validation as parse_binary_trace — magic / version / v1 detection,
-/// counts checked against the file size, nprocs plausibility, event-kind
-/// range — so corrupt logs fail with the same loud errors.
+/// Streaming reader over a binary trace, from a file or from bytes held in
+/// memory: run headers and bounded event batches. Every input is checked
+/// before it is trusted — magic / version / v1 detection, run and event
+/// counts against the bytes present, nprocs plausibility, event-kind
+/// range, and no bytes past the last declared record (a back-patched
+/// header whose counts disagree with the records present, e.g. an
+/// unfinalized trace, is rejected rather than analyzed as a prefix) — so
+/// corrupt logs fail with loud errors.
 ///
 ///   TraceStream ts;
-///   ts.open(path, &err);
-///   TraceRun run;                       // header only; events stays empty
+///   ts.open(path, &err);                // or ts.open_bytes(bytes, &err)
+///   TraceRun run;
 ///   while (ts.next_run(&run, &err)) {
 ///     while (ts.next_events(&batch, 65536, &err)) { ... }
 ///     // falls out with err empty when the run is exhausted
@@ -77,6 +63,10 @@ class TraceStream {
   TraceStream& operator=(const TraceStream&) = delete;
 
   bool open(const std::string& path, std::string* err);
+  /// Read a trace held in memory; `bytes` must outlive the stream.
+  bool open_bytes(std::string_view bytes, std::string* err);
+  /// The file being read; empty for an in-memory trace.
+  [[nodiscard]] const std::string& path() const { return path_; }
   [[nodiscard]] int version() const { return version_; }
   [[nodiscard]] std::uint32_t num_runs() const { return num_runs_; }
 
@@ -93,8 +83,15 @@ class TraceStream {
 
  private:
   bool fail(std::string* err, const std::string& msg);
+  /// Validate the file header once the byte source is set.
+  bool read_header(std::string* err);
+  /// Copy the next `n` bytes of the source to `dst`, or skip them when
+  /// `dst` is null; false when fewer than `n` remain.
+  bool read(void* dst, std::uint64_t n);
 
-  std::FILE* file_ = nullptr;
+  bool opened_ = false;
+  std::FILE* file_ = nullptr;     ///< file source (open)
+  std::string_view bytes_;        ///< in-memory source (open_bytes)
   std::string path_;
   std::uint64_t file_size_ = 0;
   std::uint64_t pos_ = 0;

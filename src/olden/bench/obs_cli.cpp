@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "olden/support/parse.hpp"
+
 namespace olden::bench {
 
 namespace {
@@ -21,22 +23,6 @@ void env_default(std::string* opt, const char* var) {
   if (!opt->empty()) return;
   const char* v = std::getenv(var);
   if (v != nullptr && v[0] != '\0') *opt = v;
-}
-
-/// Strict non-negative integer parse: every character must be a digit and
-/// the value must fit in 64 bits. "abc", "-3", "1e6", "" all fail — a
-/// malformed limit or seed should be a loud error, not a silent zero.
-bool parse_u64_strict(const std::string& s, std::uint64_t* out) {
-  if (s.empty() || s.size() > 20) return false;
-  std::uint64_t v = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (v > (UINT64_MAX - digit) / 10) return false;  // overflow
-    v = v * 10 + digit;
-  }
-  *out = v;
-  return true;
 }
 
 [[noreturn]] void flag_error(const char* argv0, const char* what) {
@@ -72,8 +58,6 @@ void ObsCli::parse(int* argc, char** argv,
       trace_path_ = v;
     } else if (flag_value(argv[i], "--trace-bin", &v)) {
       trace_bin_path_ = v;
-    } else if (flag_value(argv[i], "--trace-stream", &v)) {
-      trace_stream_path_ = v;
     } else if (flag_value(argv[i], "--stats-json", &v)) {
       stats_path_ = v;
     } else if (flag_value(argv[i], "--profile", &v)) {
@@ -144,7 +128,6 @@ void ObsCli::parse(int* argc, char** argv,
 
   env_default(&trace_path_, "OLDEN_TRACE");
   env_default(&trace_bin_path_, "OLDEN_TRACE_BIN");
-  env_default(&trace_stream_path_, "OLDEN_TRACE_STREAM");
   env_default(&stats_path_, "OLDEN_STATS_JSON");
   env_default(&profile_path_, "OLDEN_PROFILE");
   env_default(&profile_interval_str, "OLDEN_PROFILE_INTERVAL");
@@ -216,35 +199,33 @@ void ObsCli::parse(int* argc, char** argv,
       flag_error(argv[0], ("--sample: " + err).c_str());
     }
     if (!trace_path_.empty() || !trace_bin_path_.empty() ||
-        !trace_stream_path_.empty() || !profile_path_.empty()) {
+        !profile_path_.empty()) {
       // Warming-phase events and cycles are never emitted, so any trace or
       // profile collected under sampling would have broken causal chains
       // and truncated timelines; refuse the combination instead.
       flag_error(argv[0],
                  "--sample cannot be combined with --trace/--trace-bin/"
-                 "--trace-stream/--profile (functional warming suppresses "
-                 "their per-event inputs)");
+                 "--profile (functional warming suppresses their per-event "
+                 "inputs)");
     }
     obs_.set_sample(spec);
   }
-  if (!trace_stream_path_.empty() &&
-      (!trace_path_.empty() || !trace_bin_path_.empty())) {
-    // The streamed events are not retained in memory, so neither in-memory
-    // export could include them; refuse the combination instead of writing
-    // an empty file.
+  if (!trace_bin_path_.empty() && !trace_path_.empty()) {
+    // The binary log streams each event to disk instead of retaining it,
+    // so the Chrome trace (built from retained events) would be empty;
+    // refuse the combination instead of writing an empty file.
     flag_error(argv[0],
-               "--trace-stream cannot be combined with --trace/--trace-bin "
-               "(streamed events are not retained in memory)");
+               "--trace-bin cannot be combined with --trace (binary-log "
+               "events are streamed to disk, not retained in memory)");
   }
   active_ = breakdown_ || !trace_path_.empty() || !trace_bin_path_.empty() ||
-            !trace_stream_path_.empty() || !stats_path_.empty() ||
-            !profile_path_.empty() || obs_.sample_enabled();
-  obs_.set_trace_enabled(!trace_path_.empty() || !trace_bin_path_.empty() ||
-                         !trace_stream_path_.empty());
-  if (!trace_stream_path_.empty()) {
-    sink_ = std::make_unique<trace::StreamingTraceSink>(trace_stream_path_);
+            !stats_path_.empty() || !profile_path_.empty() ||
+            obs_.sample_enabled();
+  obs_.set_trace_enabled(!trace_path_.empty() || !trace_bin_path_.empty());
+  if (!trace_bin_path_.empty()) {
+    sink_ = std::make_unique<trace::StreamingTraceSink>(trace_bin_path_);
     if (!sink_->ok()) {
-      std::fprintf(stderr, "streaming trace export failed: %s\n",
+      std::fprintf(stderr, "binary trace export failed: %s\n",
                    sink_->error().c_str());
       std::exit(1);
     }
@@ -282,23 +263,13 @@ bool ObsCli::finish() {
       ok = false;
     }
   }
-  if (!trace_bin_path_.empty()) {
-    if (trace::write_binary_trace(obs_, trace_bin_path_, &err)) {
-      std::printf("wrote binary trace: %s\n", trace_bin_path_.c_str());
-    } else {
-      std::fprintf(stderr, "binary trace export failed: %s\n", err.c_str());
-      ok = false;
-    }
-  }
   if (sink_ != nullptr) {
-    std::string serr;
-    if (sink_->finalize(&serr)) {
-      std::printf("wrote streaming trace: %s (%llu events)\n",
-                  trace_stream_path_.c_str(),
+    if (sink_->finalize(&err)) {
+      std::printf("wrote binary trace: %s (%llu events)\n",
+                  trace_bin_path_.c_str(),
                   static_cast<unsigned long long>(sink_->events_written()));
     } else {
-      std::fprintf(stderr, "streaming trace export failed: %s\n",
-                   serr.c_str());
+      std::fprintf(stderr, "binary trace export failed: %s\n", err.c_str());
       ok = false;
     }
   }
@@ -326,11 +297,8 @@ bool ObsCli::finish() {
 const char* ObsCli::usage() {
   return "  --trace=FILE       write a Chrome trace_event JSON "
          "(Perfetto-loadable)\n"
-         "  --trace-bin=FILE   write a compact binary event log\n"
-         "  --trace-stream=FILE\n"
-         "                     stream the binary event log to disk as events\n"
-         "                     fire (bounded memory; excludes "
-         "--trace/--trace-bin)\n"
+         "  --trace-bin=FILE   stream a compact binary event log to disk as\n"
+         "                     events fire (bounded memory; excludes --trace)\n"
          "  --stats-json=FILE  write the structured stats document\n"
          "  --profile=FILE     write the interval-sampled profile JSON\n"
          "                     (page/site heat; see docs/PROFILING.md)\n"
@@ -364,7 +332,7 @@ const char* ObsCli::usage() {
          "                     CIs (excludes --trace*/--profile; see "
          "docs/SAMPLING.md)\n"
          "  --version          print stats/trace schema versions and exit\n"
-         "  (env: OLDEN_TRACE, OLDEN_TRACE_BIN, OLDEN_TRACE_STREAM, "
+         "  (env: OLDEN_TRACE, OLDEN_TRACE_BIN, "
          "OLDEN_STATS_JSON, OLDEN_PROFILE, OLDEN_PROFILE_INTERVAL, "
          "OLDEN_TRACE_LIMIT, OLDEN_BREAKDOWN, OLDEN_FAULTS, "
          "OLDEN_FAULT_SEED, OLDEN_ADAPT_INTERVAL, OLDEN_ADAPT_HYSTERESIS, "

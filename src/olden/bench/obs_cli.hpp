@@ -2,9 +2,9 @@
 // shares:
 //
 //   --trace=FILE         Chrome trace_event JSON (Perfetto / chrome://tracing)
-//   --trace-bin=FILE     compact binary event log ("OLDNTRC2"), in memory
-//   --trace-stream=FILE  same binary log, streamed to disk as events fire
-//                        (paper-scale runs; excludes --trace/--trace-bin)
+//   --trace-bin=FILE     compact binary event log ("OLDNTRC2"), streamed
+//                        to disk as events fire (bounded memory, so
+//                        paper-scale runs fit; excludes --trace)
 //   --stats-json=FILE    structured stats document (schema_version'd)
 //   --profile=FILE       interval-sampled profile JSON (see docs/PROFILING.md)
 //   --profile-interval=N sampling interval in virtual cycles (default 65536)
@@ -22,10 +22,10 @@
 //                        with 95% CIs. Excludes --trace*/--profile.
 //                        See docs/SAMPLING.md.
 //
-// Environment variables OLDEN_TRACE, OLDEN_TRACE_BIN, OLDEN_TRACE_STREAM,
-// OLDEN_STATS_JSON, OLDEN_PROFILE, OLDEN_PROFILE_INTERVAL,
-// OLDEN_TRACE_LIMIT, OLDEN_FAULTS, OLDEN_FAULT_SEED, OLDEN_ADAPT_INTERVAL,
-// OLDEN_ADAPT_HYSTERESIS and OLDEN_SAMPLE supply defaults when the
+// Environment variables OLDEN_TRACE, OLDEN_TRACE_BIN, OLDEN_STATS_JSON,
+// OLDEN_PROFILE, OLDEN_PROFILE_INTERVAL, OLDEN_TRACE_LIMIT, OLDEN_FAULTS,
+// OLDEN_FAULT_SEED, OLDEN_ADAPT_INTERVAL, OLDEN_ADAPT_HYSTERESIS and
+// OLDEN_SAMPLE supply defaults when the
 // corresponding flag is absent, so wrappers can enable collection without
 // editing command lines.
 //
@@ -108,7 +108,6 @@ class ObsCli {
   bool breakdown_ = false;
   std::string trace_path_;
   std::string trace_bin_path_;
-  std::string trace_stream_path_;
   std::string stats_path_;
   std::string profile_path_;
   fault::FaultSpec fault_spec_;

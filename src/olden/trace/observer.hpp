@@ -122,8 +122,8 @@ class Observer {
   /// Stream retained events to `sink` (v2 binary bytes on disk) instead of
   /// accumulating them in RunRecord::events. Install before the first run;
   /// the caller owns the sink and finalizes it after the last run. The
-  /// retention limit and `events_dropped` accounting behave exactly as in
-  /// the in-memory path.
+  /// retention limit and `events_dropped` accounting behave exactly as
+  /// for retained events.
   void set_sink(StreamingTraceSink* sink) { sink_ = sink; }
   [[nodiscard]] StreamingTraceSink* sink() const { return sink_; }
 
@@ -282,9 +282,11 @@ bool write_chrome_trace(const Observer& obs, const std::string& path,
 /// header with nprocs, makespan and the dropped-event count (so offline
 /// analysis can refuse truncated traces). v1 logs ("OLDNTRC1") are
 /// detected and rejected by the reader in src/olden/analyze/.
+///
+/// Files are written by StreamingTraceSink (--trace-bin); these bytes,
+/// built from an observer's retained events, are the reference the sink
+/// is tested against and the input tests feed the reader from memory.
 [[nodiscard]] std::string binary_trace_bytes(const Observer& obs);
-bool write_binary_trace(const Observer& obs, const std::string& path,
-                        std::string* err = nullptr);
 // (The v2 format constants — kBinaryTraceVersion, kBinaryTraceMagic,
 // kBinaryRecordBytes — live in trace.hpp, shared with the streaming sink.)
 

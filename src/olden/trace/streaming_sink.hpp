@@ -1,15 +1,15 @@
-// StreamingTraceSink — the disk-backed twin of Observer::events.
+// StreamingTraceSink — the writer behind every binary trace file
+// (--trace-bin).
 //
-// The in-memory event vector cannot hold a paper-scale run (a 256K-node
+// An in-memory event vector cannot hold a paper-scale run (a 256K-node
 // TreeAdd at p=8 emits millions of events; the full paper suite would need
-// gigabytes of RAM). The sink writes the exact v2 ("OLDNTRC2") byte stream
-// binary_trace_bytes() would have produced, but incrementally: events go
-// through a large private buffer as they are emitted, and the fields a
-// writer cannot know up front — the file-level run count and each run's
-// makespan / dropped-event / event counts — are back-patched with fseek
-// when the run (or file) closes. A finished file is indistinguishable,
-// byte for byte, from the in-memory export of the same run
-// (tests/streaming_trace_test.cpp proves it).
+// gigabytes of RAM), so the sink writes the v2 ("OLDNTRC2") byte stream
+// incrementally: events go through a large private buffer as they are
+// emitted, and the fields a writer cannot know up front — the file-level
+// run count and each run's makespan / dropped-event / event counts — are
+// back-patched with fseek when the run (or file) closes. A finished file
+// is byte for byte what binary_trace_bytes() builds from the same run's
+// retained events (tests/streaming_trace_test.cpp holds it to that).
 //
 // Lifecycle (driven by trace::Observer once installed via set_sink()):
 //

@@ -229,10 +229,10 @@ enum class Hist : std::uint8_t {
 inline constexpr std::size_t kNumHists = 6;
 
 // --- binary trace format v2 ("OLDNTRC2") ------------------------------------
-// Shared by the in-memory exporter (export.cpp), the streaming sink
-// (streaming_sink.hpp) and the readers in src/olden/analyze/. The two
-// writers must stay byte-identical; tests/streaming_trace_test.cpp holds
-// them to that.
+// Shared by the file writer (streaming_sink.hpp), the reference bytes
+// built from retained events (binary_trace_bytes, export.cpp) and the
+// reader in src/olden/analyze/. The two writers must stay byte-identical;
+// tests/streaming_trace_test.cpp holds them to that.
 
 inline constexpr int kBinaryTraceVersion = 2;
 inline constexpr char kBinaryTraceMagic[8] = {'O', 'L', 'D', 'N',

@@ -5,39 +5,25 @@
 // makespan delta — no residuals, no double counting — because a report
 // that "roughly" explains a regression cannot be trusted to name its
 // cause. That invariant is held here across benchmarks x scheme pairs,
-// with and without fault injection, through the top-N/other rollup, and
-// for both profile pipelines (in-memory diff_profile and the streaming
-// analyzer's diff-detail mode), whose outputs must be byte-identical —
-// including when the traces were produced by the host-parallel
-// adopt_runs_from merge instead of serially.
+// with and without fault injection, on runs truncated at the retention
+// limit, and through the top-N/other rollup. The rendered documents must
+// also be byte-identical across repeats — including when the traces were
+// produced by the host-parallel adopt_runs_from merge instead of serially.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "analyze_helpers.hpp"
 #include "olden/analyze/diff.hpp"
-#include "olden/analyze/streaming.hpp"
-#include "olden/analyze/trace_reader.hpp"
 #include "olden/bench/benchmark.hpp"
 #include "olden/fault/fault_spec.hpp"
 #include "olden/trace/observer.hpp"
 
 namespace olden::bench {
 namespace {
-
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "olden_diff_" + name;
-}
-
-void write_file(const std::string& path, const std::string& bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr) << path;
-  std::fwrite(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-}
 
 void run_cell(trace::Observer& obs, const std::string& name, Coherence scheme,
               const fault::FaultSpec* faults = nullptr) {
@@ -51,19 +37,28 @@ void run_cell(trace::Observer& obs, const std::string& name, Coherence scheme,
   (void)b->run(cfg);
 }
 
-/// Trace one cell and return its diff profile via the in-memory pipeline.
+/// The diff profile of every run `obs` recorded.
+std::vector<analyze::DiffProfile> profiles_of(const trace::Observer& obs) {
+  const std::string bytes = trace::binary_trace_bytes(obs);
+  analyze::TraceFile file;
+  std::vector<analyze::RunReport> reports;
+  std::vector<analyze::DiffProfile> profiles;
+  std::string err;
+  EXPECT_TRUE(analyze::test_util::analyze_bytes(bytes, 10, &file, &reports,
+                                                &profiles, &err))
+      << err;
+  return profiles;
+}
+
+/// Trace one cell and return its diff profile.
 analyze::DiffProfile profile_cell(const std::string& name, Coherence scheme,
                                   const fault::FaultSpec* faults = nullptr) {
   trace::Observer obs;
   obs.set_trace_enabled(true);
   run_cell(obs, name, scheme, faults);
-  analyze::TraceFile file;
-  std::string err;
-  EXPECT_TRUE(analyze::parse_binary_trace(trace::binary_trace_bytes(obs),
-                                          &file, &err))
-      << err;
-  EXPECT_EQ(file.runs.size(), 1u);
-  return analyze::diff_profile(file.runs[0]);
+  std::vector<analyze::DiffProfile> profiles = profiles_of(obs);
+  EXPECT_EQ(profiles.size(), 1u);
+  return profiles.empty() ? analyze::DiffProfile{} : std::move(profiles[0]);
 }
 
 /// Every partition of the report — including the emitted top rows plus
@@ -178,80 +173,27 @@ TEST(Diff, ExactnessHoldsUnderFaultInjection) {
   expect_exact(rep);
 }
 
-void expect_profiles_equal(const analyze::DiffProfile& mem,
-                           const analyze::DiffProfile& str) {
-  EXPECT_EQ(mem.label, str.label);
-  EXPECT_EQ(mem.nprocs, str.nprocs);
-  EXPECT_EQ(mem.makespan, str.makespan);
-  EXPECT_EQ(mem.events, str.events);
-  EXPECT_EQ(mem.truncated, str.truncated);
-  EXPECT_EQ(mem.buckets, str.buckets);
-  EXPECT_EQ(mem.site_cycles, str.site_cycles) << mem.label;
-  EXPECT_EQ(mem.page_cycles, str.page_cycles) << mem.label;
-  EXPECT_TRUE(mem.edge_cycles == str.edge_cycles) << mem.label;
-  EXPECT_TRUE(mem.chain_counts == str.chain_counts) << mem.label;
-  EXPECT_EQ(mem.chains, str.chains);
-}
-
-/// The streaming analyzer's diff-detail mode must reproduce diff_profile
-/// exactly — healthy, truncated, and fault-injected runs alike — which is
-/// what makes --diff --stream byte-identical to the in-memory path.
-TEST(Diff, StreamingProfileMatchesInMemory) {
-  fault::FaultSpec spec;
-  std::string err;
-  ASSERT_TRUE(
-      fault::parse_fault_spec("drop=0.05,dup=0.02,delay=0.1:800", &spec, &err))
-      << err;
+/// Runs truncated at the retention limit — one cut mid-run, one that
+/// retained nothing — still profile to partitions that balance.
+TEST(Diff, ExactnessHoldsOnTruncatedRuns) {
   trace::Observer obs;
   obs.set_trace_enabled(true);
-  obs.set_event_limit(20'000);  // truncates the middle run
+  obs.set_event_limit(20'000);
   run_cell(obs, "TreeAdd", Coherence::kLocalKnowledge);
   run_cell(obs, "MST", Coherence::kEagerGlobal);
-  run_cell(obs, "Health", Coherence::kBilateral, &spec);
-  const std::string path = temp_path("stream_parity.bin");
-  write_file(path, trace::binary_trace_bytes(obs));
-
-  analyze::TraceFile file;
-  ASSERT_TRUE(analyze::read_binary_trace(path, &file, &err)) << err;
-  std::vector<analyze::DiffProfile> mem;
-  for (const analyze::TraceRun& run : file.runs) {
-    mem.push_back(analyze::diff_profile(run));
-  }
-
-  analyze::TraceStream ts;
-  ASSERT_TRUE(ts.open(path, &err)) << err;
-  std::vector<analyze::DiffProfile> str;
-  analyze::TraceRun run;
-  std::vector<trace::TraceEvent> batch;
-  while (ts.next_run(&run, &err)) {
-    analyze::StreamingRunAnalyzer an(run, 10);
-    an.enable_diff_profile();
-    while (ts.next_events(&batch, 4'096, &err)) {
-      for (const trace::TraceEvent& e : batch) {
-        ASSERT_TRUE(an.add(e)) << an.error();
-      }
-    }
-    ASSERT_TRUE(err.empty()) << err;
-    analyze::RunReport rep;
-    analyze::DiffProfile profile;
-    ASSERT_TRUE(an.finish_diff(&rep, &profile, &err)) << err;
-    str.push_back(std::move(profile));
-  }
-  ASSERT_TRUE(err.empty()) << err;
-  ASSERT_EQ(str.size(), mem.size());
-  EXPECT_TRUE(file.runs[1].truncated());  // the limit actually bit
-  for (std::size_t i = 0; i < mem.size(); ++i) {
-    expect_profiles_equal(mem[i], str[i]);
-  }
-
-  // And the rendered documents — human and JSON — are byte-identical.
-  for (std::size_t i = 0; i + 1 < mem.size(); ++i) {
-    analyze::DiffReport rm;
-    analyze::DiffReport rs;
-    ASSERT_TRUE(analyze::diff_runs(mem[i], mem[i + 1], 10, &rm, &err)) << err;
-    ASSERT_TRUE(analyze::diff_runs(str[i], str[i + 1], 10, &rs, &err)) << err;
-    EXPECT_EQ(analyze::human_diff(rm), analyze::human_diff(rs));
-    EXPECT_EQ(analyze::json_diff({rm}), analyze::json_diff({rs}));
+  run_cell(obs, "MST", Coherence::kBilateral);
+  const std::vector<analyze::DiffProfile> profiles = profiles_of(obs);
+  ASSERT_EQ(profiles.size(), 3u);
+  EXPECT_TRUE(profiles[1].truncated);  // the limit bit mid-run
+  EXPECT_GT(profiles[1].events, 0u);
+  EXPECT_EQ(profiles[2].events, 0u);  // and left nothing for the last
+  for (std::size_t i = 0; i + 1 < profiles.size(); ++i) {
+    analyze::DiffReport rep;
+    std::string err;
+    ASSERT_TRUE(analyze::diff_runs(profiles[i], profiles[i + 1], 10, &rep,
+                                   &err))
+        << err;
+    expect_exact(rep);
   }
 }
 
@@ -313,21 +255,16 @@ TEST(Diff, OutputBytesInvariantAcrossRepeatsAndTraceProduction) {
     // A fault-injected third run: deterministic replay of the fault plane
     // is part of the byte-identity promise.
     run_cell(obs, "TreeAdd", Coherence::kEagerGlobal, &spec);
-    analyze::TraceFile file;
+    const std::vector<analyze::DiffProfile> profiles = profiles_of(obs);
+    EXPECT_EQ(profiles.size(), 3u);
+    if (profiles.size() != 3u) return std::string();
     std::string err;
-    EXPECT_TRUE(analyze::parse_binary_trace(trace::binary_trace_bytes(obs),
-                                            &file, &err))
-        << err;
-    EXPECT_EQ(file.runs.size(), 3u);
     analyze::DiffReport rep;
-    EXPECT_TRUE(analyze::diff_runs(analyze::diff_profile(file.runs[0]),
-                                   analyze::diff_profile(file.runs[1]), 10,
-                                   &rep, &err))
+    EXPECT_TRUE(analyze::diff_runs(profiles[0], profiles[1], 10, &rep, &err))
         << err;
     analyze::DiffReport faulty;
-    EXPECT_TRUE(analyze::diff_runs(analyze::diff_profile(file.runs[1]),
-                                   analyze::diff_profile(file.runs[2]), 10,
-                                   &faulty, &err))
+    EXPECT_TRUE(
+        analyze::diff_runs(profiles[1], profiles[2], 10, &faulty, &err))
         << err;
     return analyze::json_diff({rep, faulty}) + analyze::human_diff(rep) +
            analyze::human_diff(faulty);
@@ -353,21 +290,14 @@ TEST(Diff, OutputBytesInvariantAcrossRepeatsAndTraceProduction) {
     run_cell(worker, "TreeAdd", Coherence::kEagerGlobal, &spec);
     main_obs.adopt_runs_from(worker);
   }
-  analyze::TraceFile file;
+  const std::vector<analyze::DiffProfile> profiles = profiles_of(main_obs);
+  ASSERT_EQ(profiles.size(), 3u);
   std::string err;
-  ASSERT_TRUE(analyze::parse_binary_trace(trace::binary_trace_bytes(main_obs),
-                                          &file, &err))
-      << err;
-  ASSERT_EQ(file.runs.size(), 3u);
   analyze::DiffReport rep;
-  ASSERT_TRUE(analyze::diff_runs(analyze::diff_profile(file.runs[0]),
-                                 analyze::diff_profile(file.runs[1]), 10,
-                                 &rep, &err))
+  ASSERT_TRUE(analyze::diff_runs(profiles[0], profiles[1], 10, &rep, &err))
       << err;
   analyze::DiffReport faulty;
-  ASSERT_TRUE(analyze::diff_runs(analyze::diff_profile(file.runs[1]),
-                                 analyze::diff_profile(file.runs[2]), 10,
-                                 &faulty, &err))
+  ASSERT_TRUE(analyze::diff_runs(profiles[1], profiles[2], 10, &faulty, &err))
       << err;
   EXPECT_EQ(analyze::json_diff({rep, faulty}) + analyze::human_diff(rep) +
                 analyze::human_diff(faulty),

@@ -1,21 +1,18 @@
-// Equivalence guarantees for the streaming trace plane.
-//
-// Three promises are tested to the byte, because every downstream
-// consumer (baseline diffs, olden-analyze, the schema checker) depends on
-// streamed output being indistinguishable from the in-memory path:
+// Guarantees of the trace plane: the sink that writes every binary trace,
+// the reader, and the analyzer.
 //
 //   * StreamingTraceSink writes the exact bytes binary_trace_bytes()
-//     would have produced — including multi-run files and dropped-event
-//     accounting at the retention limit — while the stats JSON document
-//     is unchanged,
+//     builds from retained events — including multi-run files and
+//     dropped-event accounting at the retention limit — while the stats
+//     JSON document is unchanged,
 //   * Observer::adopt_runs_from reconstructs the serial record from
 //     host-parallel worker observers (the bench_cell --jobs merge),
 //     including when the cross-run retention limit truncates mid-suite,
-//   * the streaming analyzer (TraceStream + StreamingRunAnalyzer)
-//     produces a json_report byte-identical to read_binary_trace +
-//     analyze_run, for healthy, truncated and fault-injected runs —
-//     and fails loudly, never silently diverging, on streams that break
-//     its invariants.
+//   * TraceStream rejects corrupt, truncated and back-patch-mismatched
+//     input, from a file and from memory alike,
+//   * the analyzer's critical path sums to the makespan on healthy,
+//     truncated and fault-injected runs, and it fails loudly, never
+//     silently diverging, on streams that break its invariants.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -25,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "analyze_helpers.hpp"
 #include "olden/analyze/report.hpp"
 #include "olden/analyze/streaming.hpp"
 #include "olden/analyze/trace_reader.hpp"
@@ -182,7 +180,7 @@ TEST(AdoptRuns, MergeReconstructsSerialRecord) {
 }
 
 TEST(AdoptRuns, MergeIntoSinkMatchesSerialBytes) {
-  // --jobs combined with --trace-stream: adopted runs are streamed at
+  // --jobs combined with --trace-bin: adopted runs are streamed at
   // merge time, so the file must still match the serial in-memory export.
   const std::vector<std::pair<std::string, Coherence>> cells = {
       {"TreeAdd", Coherence::kBilateral}, {"MST", Coherence::kBilateral}};
@@ -210,69 +208,44 @@ TEST(AdoptRuns, MergeIntoSinkMatchesSerialBytes) {
   EXPECT_TRUE(streamed == serial.trace_bytes);
 }
 
-/// End-to-end analyzer parity: the streaming pipeline's JSON document
-/// must be byte-identical to the in-memory pipeline's, across a healthy
-/// run, a truncated run, and a fault-injected run (which exercises the
-/// retry buckets and the fault summary).
-TEST(StreamingAnalyzer, JsonReportByteIdentical) {
+/// The critical-path invariant end to end, through the reader and the
+/// analyzer: on a fault-injected run (which exercises the retry buckets
+/// and the fault summary) and a run truncated at the retention limit, the
+/// path's weight is the traced makespan.
+TEST(StreamingAnalyzer, PathSumsToMakespanOnTruncatedAndFaultedRuns) {
   fault::FaultSpec spec;
   std::string err;
   ASSERT_TRUE(
       fault::parse_fault_spec("drop=0.05,dup=0.02,delay=0.1:800", &spec, &err))
       << err;
-
   trace::Observer obs;
   obs.set_trace_enabled(true);
-  obs.set_event_limit(20'000);  // truncates the middle run
-  run_cell(obs, "TreeAdd", Coherence::kLocalKnowledge);
+  obs.set_event_limit(20'000);  // truncates the second run
+  run_cell(obs, "TreeAdd", Coherence::kBilateral, &spec);
   run_cell(obs, "MST", Coherence::kEagerGlobal);
-  {
-    const Benchmark* b = find_benchmark("TreeAdd");
-    ASSERT_NE(b, nullptr);
-    obs.begin_run("TreeAdd/faulty");
-    BenchConfig cfg{.nprocs = 4, .scheme = Coherence::kBilateral};
-    cfg.tiny = true;
-    cfg.observer = &obs;
-    cfg.faults = &spec;
-    (void)b->run(cfg);
-  }
   const std::string path = temp_path("analyze.bin");
   write_file(path, trace::binary_trace_bytes(obs));
 
-  constexpr std::size_t kTopN = 10;
-  analyze::TraceFile mem_file;
-  ASSERT_TRUE(analyze::read_binary_trace(path, &mem_file, &err)) << err;
-  std::vector<analyze::RunReport> mem_reports;
-  for (const analyze::TraceRun& run : mem_file.runs) {
-    mem_reports.push_back(analyze::analyze_run(run, kTopN));
-  }
-  const std::string mem_json = analyze::json_report(mem_file, mem_reports);
-
   analyze::TraceStream ts;
   ASSERT_TRUE(ts.open(path, &err)) << err;
-  analyze::TraceFile str_file;
-  str_file.version = ts.version();
-  std::vector<analyze::RunReport> str_reports;
-  analyze::TraceRun run;
-  std::vector<trace::TraceEvent> batch;
-  while (ts.next_run(&run, &err)) {
-    analyze::StreamingRunAnalyzer an(run, kTopN);
-    while (ts.next_events(&batch, 4'096, &err)) {
-      for (const trace::TraceEvent& e : batch) ASSERT_TRUE(an.add(e))
-          << an.error();
-    }
-    ASSERT_TRUE(err.empty()) << err;
-    analyze::RunReport rep;
-    ASSERT_TRUE(an.finish(&rep, &err)) << err;
-    str_reports.push_back(std::move(rep));
-    str_file.runs.push_back(run);  // header only, events empty
+  analyze::TraceFile file;
+  std::vector<analyze::RunReport> reports;
+  ASSERT_TRUE(analyze::analyze_trace(&ts, 10, &file, &reports, nullptr, &err))
+      << err;
+  ASSERT_EQ(file.runs.size(), 2u);
+  EXPECT_FALSE(file.runs[0].truncated());
+  EXPECT_GT(reports[0].faults.retransmits, 0u);
+  EXPECT_TRUE(file.runs[1].truncated());  // the limit bit mid-run
+  EXPECT_GT(file.runs[1].num_events, 0u);
+  for (std::size_t r = 0; r < reports.size(); ++r) {
+    const analyze::CriticalPath& cp = reports[r].path;
+    EXPECT_EQ(cp.total_cycles, file.runs[r].makespan) << file.runs[r].label;
+    std::uint64_t attributed = 0;
+    for (const std::uint64_t w : cp.attribution) attributed += w;
+    EXPECT_EQ(attributed, cp.total_cycles) << file.runs[r].label;
   }
-  ASSERT_TRUE(err.empty()) << err;
-  ASSERT_EQ(str_file.runs.size(), mem_file.runs.size());
-  EXPECT_TRUE(mem_file.runs[1].truncated());  // the limit actually bit
-
-  const std::string str_json = analyze::json_report(str_file, str_reports);
-  EXPECT_EQ(mem_json, str_json);
+  const std::string json = analyze::json_report(file, reports);
+  EXPECT_NE(json.find("\"truncated\":true"), std::string::npos);
 }
 
 TEST(TraceStream, RejectsCorruptInput) {
@@ -345,8 +318,9 @@ TEST(TraceStream, RejectsCorruptInput) {
 
 /// A streaming sink that dies (or a file copied mid-write) leaves the
 /// back-patched header placeholders zeroed while the event records are
-/// already on disk. Both readers must reject the disagreement instead of
-/// silently analyzing the declared (empty or partial) prefix.
+/// already on disk. The reader must reject the disagreement — from a file
+/// and from memory — instead of silently analyzing the declared (empty or
+/// partial) prefix.
 TEST(TraceReader, RejectsBackPatchedHeaderDisagreement) {
   std::string err;
   trace::Observer obs;
@@ -367,13 +341,14 @@ TEST(TraceReader, RejectsBackPatchedHeaderDisagreement) {
 
   const auto expect_rejected_by_both = [&](const std::string& name,
                                            const std::string& bytes) {
-    const std::string path = temp_path(name);
-    write_file(path, bytes);
-    analyze::TraceFile file;
-    EXPECT_FALSE(analyze::read_binary_trace(path, &file, &err)) << name;
+    analyze::test_util::ReadTrace in_memory;
+    EXPECT_FALSE(analyze::test_util::read_trace(bytes, &in_memory, &err))
+        << name;
     EXPECT_NE(err.find("disagree"), std::string::npos) << name << ": " << err;
     EXPECT_NE(err.find("v2"), std::string::npos) << name << ": " << err;
 
+    const std::string path = temp_path(name);
+    write_file(path, bytes);
     analyze::TraceStream ts;
     ASSERT_TRUE(ts.open(path, &err)) << name << ": " << err;
     analyze::TraceRun run;
@@ -408,11 +383,11 @@ TEST(TraceReader, RejectsBackPatchedHeaderDisagreement) {
     expect_rejected_by_both("appended.bin", good + std::string(13, '\xAB'));
   }
 
-  // Control: the untouched bytes still parse in both pipelines.
+  // Control: the untouched bytes still parse, from memory and from a file.
+  analyze::test_util::ReadTrace in_memory;
+  EXPECT_TRUE(analyze::test_util::read_trace(good, &in_memory, &err)) << err;
   const std::string path = temp_path("backpatch_good.bin");
   write_file(path, good);
-  analyze::TraceFile file;
-  EXPECT_TRUE(analyze::read_binary_trace(path, &file, &err)) << err;
   analyze::TraceStream ts;
   ASSERT_TRUE(ts.open(path, &err)) << err;
   analyze::TraceRun run;

@@ -7,12 +7,16 @@
 #include <cstring>
 #include <string>
 
+#include "analyze_helpers.hpp"
 #include "olden/analyze/trace_reader.hpp"
 #include "olden/bench/benchmark.hpp"
 #include "olden/trace/observer.hpp"
 
 namespace olden::analyze {
 namespace {
+
+using test_util::read_trace;
+using test_util::ReadTrace;
 
 /// A small but real trace: one TreeAdd run with events. The event limit
 /// keeps the file a few KB so the every-prefix truncation sweep (O(n^2))
@@ -58,22 +62,23 @@ constexpr std::size_t kNeventsOff = kNprocsOff + 4 + 8 + 8;
 
 TEST(TraceReaderRobustness, ParsesItsOwnOutput) {
   const std::string bytes = valid_trace_bytes();
-  TraceFile f;
+  ReadTrace f;
   std::string err;
-  ASSERT_TRUE(parse_binary_trace(bytes, &f, &err)) << err;
-  ASSERT_EQ(f.runs.size(), 1u);
-  EXPECT_EQ(f.runs[0].label, "adv");
-  EXPECT_EQ(f.runs[0].nprocs, 2u);
-  EXPECT_FALSE(f.runs[0].events.empty());
+  ASSERT_TRUE(read_trace(bytes, &f, &err)) << err;
+  ASSERT_EQ(f.file.runs.size(), 1u);
+  EXPECT_EQ(f.file.runs[0].label, "adv");
+  EXPECT_EQ(f.file.runs[0].nprocs, 2u);
+  EXPECT_FALSE(f.events[0].empty());
 }
 
 TEST(TraceReaderRobustness, EveryTruncationFailsCleanly) {
   const std::string bytes = valid_trace_bytes();
   ASSERT_GT(bytes.size(), 64u);
   for (std::size_t len = 0; len < bytes.size(); ++len) {
-    TraceFile f;
+    ReadTrace f;
     std::string err;
-    EXPECT_FALSE(parse_binary_trace(bytes.substr(0, len), &f, &err))
+    EXPECT_FALSE(
+        read_trace(std::string_view(bytes).substr(0, len), &f, &err))
         << "a " << len << "-byte prefix parsed as complete";
     EXPECT_FALSE(err.empty()) << len;
   }
@@ -82,9 +87,9 @@ TEST(TraceReaderRobustness, EveryTruncationFailsCleanly) {
 TEST(TraceReaderRobustness, AbsurdRunCountIsRejectedBeforeAllocating) {
   std::string bytes = valid_trace_bytes();
   poke_u32(&bytes, kNrunsOff, 0xffffffffu);
-  TraceFile f;
+  ReadTrace f;
   std::string err;
-  EXPECT_FALSE(parse_binary_trace(bytes, &f, &err));
+  EXPECT_FALSE(read_trace(bytes, &f, &err));
   EXPECT_NE(err.find("run count"), std::string::npos) << err;
   EXPECT_NE(err.find("exceeds file size"), std::string::npos) << err;
 }
@@ -92,9 +97,9 @@ TEST(TraceReaderRobustness, AbsurdRunCountIsRejectedBeforeAllocating) {
 TEST(TraceReaderRobustness, CorruptLabelLengthIsRejected) {
   std::string bytes = valid_trace_bytes();
   poke_u32(&bytes, kLabelLenOff, 0xfffffff0u);
-  TraceFile f;
+  ReadTrace f;
   std::string err;
-  EXPECT_FALSE(parse_binary_trace(bytes, &f, &err));
+  EXPECT_FALSE(read_trace(bytes, &f, &err));
   EXPECT_NE(err.find("label length"), std::string::npos) << err;
 }
 
@@ -102,9 +107,9 @@ TEST(TraceReaderRobustness, AbsurdProcessorCountIsRejected) {
   for (std::uint32_t nprocs : {0u, 65u, 0xffffffffu}) {
     std::string bytes = valid_trace_bytes();
     poke_u32(&bytes, kNprocsOff, nprocs);
-    TraceFile f;
+    ReadTrace f;
     std::string err;
-    EXPECT_FALSE(parse_binary_trace(bytes, &f, &err)) << nprocs;
+    EXPECT_FALSE(read_trace(bytes, &f, &err)) << nprocs;
     EXPECT_NE(err.find("processor count"), std::string::npos) << err;
   }
 }
@@ -112,9 +117,9 @@ TEST(TraceReaderRobustness, AbsurdProcessorCountIsRejected) {
 TEST(TraceReaderRobustness, AbsurdEventCountIsRejected) {
   std::string bytes = valid_trace_bytes();
   poke_u64(&bytes, kNeventsOff, 0xffffffffffffffffULL);
-  TraceFile f;
+  ReadTrace f;
   std::string err;
-  EXPECT_FALSE(parse_binary_trace(bytes, &f, &err));
+  EXPECT_FALSE(read_trace(bytes, &f, &err));
   EXPECT_NE(err.find("event count exceeds file size"), std::string::npos)
       << err;
 }
@@ -122,9 +127,9 @@ TEST(TraceReaderRobustness, AbsurdEventCountIsRejected) {
 TEST(TraceReaderRobustness, WrongVersionNamesBothVersions) {
   std::string bytes = valid_trace_bytes();
   poke_u32(&bytes, kVersionOff, 99);
-  TraceFile f;
+  ReadTrace f;
   std::string err;
-  EXPECT_FALSE(parse_binary_trace(bytes, &f, &err));
+  EXPECT_FALSE(read_trace(bytes, &f, &err));
   EXPECT_NE(err.find("99"), std::string::npos) << err;
   EXPECT_NE(err.find(std::to_string(trace::kBinaryTraceVersion)),
             std::string::npos)
@@ -134,16 +139,16 @@ TEST(TraceReaderRobustness, WrongVersionNamesBothVersions) {
 TEST(TraceReaderRobustness, V1MagicGetsTheMigrationHint) {
   std::string bytes = valid_trace_bytes();
   std::memcpy(bytes.data(), trace::kBinaryTraceMagicV1, 8);
-  TraceFile f;
+  ReadTrace f;
   std::string err;
-  EXPECT_FALSE(parse_binary_trace(bytes, &f, &err));
+  EXPECT_FALSE(read_trace(bytes, &f, &err));
   EXPECT_NE(err.find("OLDNTRC2"), std::string::npos) << err;
 }
 
 TEST(TraceReaderRobustness, GarbageMagicIsRejected) {
-  TraceFile f;
+  ReadTrace f;
   std::string err;
-  EXPECT_FALSE(parse_binary_trace("GARBAGE!plus some trailing bytes", &f,
+  EXPECT_FALSE(read_trace("GARBAGE!plus some trailing bytes", &f,
                                   &err));
   EXPECT_NE(err.find("bad magic"), std::string::npos) << err;
 }
@@ -157,9 +162,9 @@ TEST(TraceReaderRobustness, OutOfRangeEventKindIsRejected) {
   const std::size_t kind_off = first_record + 8 + 4 + 8;
   ASSERT_LT(kind_off, bytes.size());
   bytes[kind_off] = static_cast<char>(0xff);
-  TraceFile f;
+  ReadTrace f;
   std::string err;
-  EXPECT_FALSE(parse_binary_trace(bytes, &f, &err));
+  EXPECT_FALSE(read_trace(bytes, &f, &err));
   EXPECT_NE(err.find("out-of-range kind"), std::string::npos) << err;
 }
 

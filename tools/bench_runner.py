@@ -33,9 +33,9 @@ zero virtual cycles, so every makespan, trace and stats byte in the
 document is identical with or without this flag.
 
 --paper selects the original paper problem sizes. Paper traces run to
-hundreds of MB, so this tier streams them to disk (--trace-stream) and
-analyzes them in bounded memory (olden-analyze --stream); the documents
-produced are byte-identical to what the in-memory paths would emit.
+hundreds of MB; --trace-bin streams them to disk as events fire and
+olden-analyze reads them back in bounded memory, so both tiers run the
+same commands.
 
 --sample W:D[:OFFSET] runs every cell under SMARTS-style systematic
 sampling (docs/SAMPLING.md): D detailed cycles measured out of every W,
@@ -160,7 +160,6 @@ def run_benchmark(bench_cell, analyze, name, nprocs, mode, timeout, tmpdir,
     paper = mode == "paper"
     stats_path = os.path.join(tmpdir, f"{name}.stats.json")
     trace_path = os.path.join(tmpdir, f"{name}.trace.bin")
-    trace_flag = "--trace-stream" if paper else "--trace-bin"
     cmd = [bench_cell, f"--benchmark={name}", f"--nprocs={nprocs}",
            f"--schemes={','.join(SCHEMES)}",
            f"--stats-json={stats_path}"]
@@ -169,7 +168,7 @@ def run_benchmark(bench_cell, analyze, name, nprocs, mode, timeout, tmpdir,
         # windows, so there is no trace to collect or analyze.
         cmd.append(f"--sample={sample}")
     else:
-        cmd.append(f"{trace_flag}={trace_path}")
+        cmd.append(f"--trace-bin={trace_path}")
     profile_path = os.path.join(tmpdir, f"{name}.profile.json")
     if keep_profiles is not None:
         cmd.append(f"--profile={profile_path}")
@@ -187,8 +186,6 @@ def run_benchmark(bench_cell, analyze, name, nprocs, mode, timeout, tmpdir,
     paths_by_label = {}
     if sample is None:
         analyze_cmd = [analyze, "--trace-bin", trace_path, "--json"]
-        if paper:
-            analyze_cmd.append("--stream")
         proc = run_child(analyze_cmd, f"olden-analyze for {name}", timeout)
         analysis = json.loads(proc.stdout)
         if keep_traces is not None:
@@ -288,8 +285,7 @@ def main(argv):
     size.add_argument("--tiny", action="store_true",
                       help="pinned tiny problem sizes (the CI configuration)")
     size.add_argument("--paper", action="store_true",
-                      help="original paper problem sizes (streams traces, "
-                      "analyzes in bounded memory)")
+                      help="original paper problem sizes")
     ap.add_argument("--nprocs", type=int, default=8,
                     help="processors per cell (default: 8)")
     ap.add_argument("--jobs", type=int, default=1,
