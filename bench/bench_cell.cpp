@@ -3,7 +3,8 @@
 // (tools/bench_runner.py).
 //
 //   bench_cell --benchmark=TreeAdd[,MST,...] [--schemes=local,global,bilateral]
-//              [--nprocs=8] [--tiny | --paper-size] [--jobs=N] [--list]
+//              [--nprocs=8] [--tiny | --paper-size] [--jobs=N] [--time=N]
+//              [--list]
 //
 // Each cell runs the simulated machine at a deterministic pinned size,
 // validates the result checksum against the host-side sequential
@@ -11,17 +12,29 @@
 // the stats / binary-trace exports carry one run per cell. Exits 1 on any
 // checksum mismatch (a correctness regression is worse than a slow one).
 //
+// --time=N times the simulator itself: each cell runs N times with no
+// observer attached and its row gains the best-of-N host milliseconds.
+// Only Benchmark::run is inside the timed window; every repetition's
+// checksum is checked outside it, so a fast-but-wrong simulator still
+// exits 1. Output modes that attach an observer are refused (exit 2).
+// bench_runner.py --host turns these rows into the HOST document.
+//
 // --jobs=N runs the cells on a pool of N host threads. Every cell is an
 // independent deterministic Machine (runtime state is per-Machine or
 // thread_local), so parallel cells compute exactly the serial results;
 // each worker records into a private Observer and the main thread merges
 // the records in serial cell order (Observer::adopt_runs_from), so stdout,
 // traces and stats are byte-identical to --jobs=1 no matter which cell
-// finishes first.
+// finishes first. Timed cells compete for cores under a pool, so per-cell
+// milliseconds are noisier than with --jobs=1.
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +42,8 @@
 #include "olden/bench/benchmark.hpp"
 #include "olden/bench/obs_cli.hpp"
 #include "olden/profile/feedback.hpp"
+#include "olden/support/parse.hpp"
+#include "olden/support/write_file.hpp"
 
 namespace {
 
@@ -52,35 +67,20 @@ bool scheme_from_name(const std::string& name, Coherence* out,
   return false;
 }
 
-std::vector<std::string> split_commas(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    const std::size_t comma = s.find(',', start);
-    if (comma == std::string::npos) {
-      out.push_back(s.substr(start));
-      break;
-    }
-    out.push_back(s.substr(start, comma - start));
-    start = comma + 1;
+/// Parses a --FLAG=N count in [1, max]; on failure names the flag and the
+/// value on stderr.
+bool parse_count(const char* flag, const std::string& v, std::uint64_t max,
+                 std::uint64_t* out) {
+  if (parse_u64_strict(v, out) && *out >= 1 && *out <= max) return true;
+  if (max == UINT64_MAX) {
+    std::fprintf(stderr, "bench_cell: %s: '%s' is not a positive integer\n",
+                 flag, v.c_str());
+  } else {
+    std::fprintf(stderr,
+                 "bench_cell: %s: '%s' is not an integer in [1, %llu]\n",
+                 flag, v.c_str(), static_cast<unsigned long long>(max));
   }
-  return out;
-}
-
-bool flag_value(const char* arg, const char* name, std::string* out) {
-  const std::size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
-  *out = arg + n + 1;
-  return true;
-}
-
-bool parse_uint(const std::string& s, unsigned long* out) {
-  if (s.empty()) return false;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-  }
-  *out = std::strtoul(s.c_str(), nullptr, 10);
-  return true;
+  return false;
 }
 
 void usage(std::FILE* to) {
@@ -97,6 +97,9 @@ void usage(std::FILE* to) {
                "  --paper-size       original paper problem size\n"
                "  --jobs=N           run cells on N host threads (default 1;\n"
                "                     output identical to serial)\n"
+               "  --time=N           run each cell N times, no observer, and\n"
+               "                     add the best host milliseconds to its "
+               "row\n"
                "  --heuristic=SPEC   'static' (default) or 'profile:FILE' to\n"
                "                     apply per-site feedback from olden-analyze\n"
                "                     --feedback-out (see docs/PROFILING.md)\n"
@@ -121,8 +124,11 @@ struct CellOutcome {
 
 /// Runs one cell; used verbatim by the serial path (recording straight
 /// into the main observer) and the pool (recording into `out->obs`).
+/// With time_reps > 0 the cell runs that many times and its row ends in
+/// the best wall time of Benchmark::run alone.
 void run_cell(const Cell& c, const BenchConfig& base, ObsCli& cli,
-              trace::Observer* rec, CellOutcome* out) {
+              trace::Observer* rec, std::uint64_t time_reps,
+              CellOutcome* out) {
   BenchConfig cfg = base;
   cfg.scheme = c.scheme;
   if (c.adaptive) {
@@ -144,16 +150,34 @@ void run_cell(const Cell& c, const BenchConfig& base, ObsCli& cli,
   } else if (rec != nullptr) {
     rec->begin_run(label, meta);
   }
-  const BenchResult r = c.b->run(cfg);
+  using Clock = std::chrono::steady_clock;
+  auto timed_run = [&](double* best_ms) {
+    const auto t0 = Clock::now();
+    BenchResult r = c.b->run(cfg);
+    const std::chrono::duration<double, std::milli> ms = Clock::now() - t0;
+    *best_ms = std::min(*best_ms, ms.count());
+    return r;
+  };
+  double best_ms = std::numeric_limits<double>::infinity();
+  BenchResult r = timed_run(&best_ms);
   const std::uint64_t want = c.b->reference_checksum(cfg);
   out->ok = r.checksum == want;
+  for (std::uint64_t k = 1; k < time_reps && out->ok; ++k) {
+    r = timed_run(&best_ms);
+    out->ok = r.checksum == want;
+  }
   char buf[160];
   std::snprintf(buf, sizeof buf,
-                "%-12s %-9s p=%-2u makespan %12llu cycles  checksum %s\n",
+                "%-12s %-9s p=%-2u makespan %12llu cycles  checksum %s",
                 c.b->name().c_str(), c.sname.c_str(), cfg.nprocs,
                 static_cast<unsigned long long>(r.total_cycles),
                 out->ok ? "ok" : "MISMATCH");
   out->line = buf;
+  if (time_reps > 0) {
+    std::snprintf(buf, sizeof buf, "  best %.3f ms", best_ms);
+    out->line += buf;
+  }
+  out->line += '\n';
   if (!out->ok) {
     std::snprintf(buf, sizeof buf,
                   "bench_cell: %s/%s checksum mismatch: got %llu, want %llu\n",
@@ -170,12 +194,13 @@ int main(int argc, char** argv) {
   ObsCli obs;
   obs.parse(&argc, argv,
             {"--benchmark", "--schemes", "--nprocs", "--tiny", "--paper-size",
-             "--jobs", "--heuristic", "--list"});
+             "--jobs", "--time", "--heuristic", "--list"});
 
   std::string bench_str;
   std::string schemes_str = "local,global,bilateral";
-  unsigned long nprocs = 8;
-  unsigned long jobs = 1;
+  std::uint64_t nprocs = 8;
+  std::uint64_t jobs = 1;
+  std::uint64_t time_reps = 0;
   bool tiny = false;
   bool paper_size = false;
   profile::FeedbackTable feedback;
@@ -193,23 +218,18 @@ int main(int argc, char** argv) {
     } else if (flag_value(argv[i], "--schemes", &v)) {
       schemes_str = v;
     } else if (flag_value(argv[i], "--nprocs", &v)) {
-      if (!parse_uint(v, &nprocs) || nprocs == 0 || nprocs > kMaxProcs) {
-        std::fprintf(stderr, "bench_cell: --nprocs must be in [1, %u]\n",
-                     static_cast<unsigned>(kMaxProcs));
-        return 2;
-      }
+      if (!parse_count("--nprocs", v, kMaxProcs, &nprocs)) return 2;
     } else if (flag_value(argv[i], "--jobs", &v)) {
-      if (!parse_uint(v, &jobs) || jobs == 0) {
-        std::fprintf(stderr, "bench_cell: --jobs must be a positive integer\n");
-        return 2;
-      }
+      if (!parse_count("--jobs", v, UINT64_MAX, &jobs)) return 2;
+    } else if (flag_value(argv[i], "--time", &v)) {
+      if (!parse_count("--time", v, UINT64_MAX, &time_reps)) return 2;
     } else if (std::strcmp(argv[i], "--tiny") == 0) {
       tiny = true;
     } else if (std::strcmp(argv[i], "--paper-size") == 0) {
       paper_size = true;
     } else if (std::strcmp(argv[i], "--list") == 0) {
       for (const Benchmark* b : suite()) std::printf("%s\n", b->name().c_str());
-      return 0;
+      return flush_stdout("bench_cell") ? 0 : 1;
     } else {
       usage(stderr);
       return 2;
@@ -217,6 +237,13 @@ int main(int argc, char** argv) {
   }
   if (bench_str.empty()) {
     usage(stderr);
+    return 2;
+  }
+  if (time_reps > 0 && obs.observer() != nullptr) {
+    std::fprintf(stderr,
+                 "bench_cell: --time measures the bare simulator; it cannot "
+                 "be combined with --trace, --trace-bin, --stats-json, "
+                 "--profile, --sample or --breakdown\n");
     return 2;
   }
 
@@ -255,7 +282,7 @@ int main(int argc, char** argv) {
   if (jobs <= 1 || cells.size() <= 1) {
     for (const Cell& c : cells) {
       CellOutcome out;
-      run_cell(c, base, obs, obs.observer(), &out);
+      run_cell(c, base, obs, obs.observer(), time_reps, &out);
       std::fputs(out.line.c_str(), stdout);
       if (!out.err.empty()) std::fputs(out.err.c_str(), stderr);
       ok = ok && out.ok;
@@ -290,7 +317,8 @@ int main(int argc, char** argv) {
              i = next.fetch_add(1)) {
           try {
             run_cell(cells[i], base, obs,
-                     main_obs != nullptr ? &outs[i].obs : nullptr, &outs[i]);
+                     main_obs != nullptr ? &outs[i].obs : nullptr, time_reps,
+                     &outs[i]);
           } catch (const std::exception& e) {
             outs[i].ok = false;
             outs[i].err = "bench_cell: " + cells[i].b->name() + "/" +
@@ -308,5 +336,6 @@ int main(int argc, char** argv) {
     }
   }
   if (!obs.finish()) ok = false;
+  if (!flush_stdout("bench_cell")) ok = false;
   return ok ? 0 : 1;
 }

@@ -10,15 +10,6 @@ namespace olden::bench {
 
 namespace {
 
-/// Matches "--NAME=value" exactly (so "--trace" never swallows
-/// "--trace-bin"). Returns the value through `out`.
-bool flag_value(const char* arg, const char* name, std::string* out) {
-  const std::size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
-  *out = arg + n + 1;
-  return true;
-}
-
 void env_default(std::string* opt, const char* var) {
   if (!opt->empty()) return;
   const char* v = std::getenv(var);

@@ -8,7 +8,7 @@
 namespace olden {
 
 namespace {
-// Atomic so host-parallel cell pools (bench_cell/host_perf --jobs) can
+// Atomic so host-parallel cell pools (bench_cell --jobs) can
 // construct Machines on several threads while a test elsewhere holds the
 // process-wide default steady. Relaxed is enough: the value is a pure
 // configuration knob, never used to publish other data.

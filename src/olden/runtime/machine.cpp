@@ -11,7 +11,7 @@ using trace::CycleBucket;
 using trace::EventKind;
 
 // thread_local so independent Machines can run on separate host threads
-// (bench_cell/host_perf --jobs); the save/restore pair in the ctor/dtor
+// (bench_cell --jobs); the save/restore pair in the ctor/dtor
 // still supports nested Machines within one thread.
 thread_local Machine* Machine::current_ = nullptr;
 

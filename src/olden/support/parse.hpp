@@ -1,9 +1,12 @@
-// Strict parsing of numeric command-line values, shared by the bench
-// binaries' observability flags and olden-analyze.
+// Command-line parsing shared by the bench binaries and olden-analyze:
+// "--NAME=value" matching, comma lists and strict numeric values.
 #pragma once
 
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <string_view>
+#include <vector>
 
 namespace olden {
 
@@ -22,6 +25,32 @@ namespace olden {
   }
   *out = v;
   return true;
+}
+
+/// Matches "--NAME=value" exactly (so "--trace" never swallows
+/// "--trace-bin"). Returns the value through `out`.
+[[nodiscard]] inline bool flag_value(const char* arg, const char* name,
+                                     std::string* out) {
+  const std::size_t n = std::strlen(name);
+  if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
+  *out = arg + n + 1;
+  return true;
+}
+
+/// "a,b,,c" -> {"a", "b", "", "c"}; empty items are kept so the caller
+/// rejects them by name.
+inline std::vector<std::string> split_commas(const std::string& s) {
+  std::vector<std::string> out;
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t comma = s.find(',', start);
+    if (comma == std::string::npos) {
+      out.push_back(s.substr(start));
+      return out;
+    }
+    out.push_back(s.substr(start, comma - start));
+    start = comma + 1;
+  }
 }
 
 }  // namespace olden

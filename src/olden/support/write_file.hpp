@@ -1,4 +1,4 @@
-// Checked whole-file output, shared by the observability exporters and
+// Checked output, shared by the observability exporters, bench_cell and
 // olden-analyze.
 #pragma once
 
@@ -24,6 +24,15 @@ inline bool write_file(const std::string& path, std::string_view body,
   const bool closed = std::fclose(f) == 0;
   if (!(wrote && closed) && err != nullptr) *err = "short write to " + path;
   return wrote && closed;
+}
+
+/// Flush stdout and check that everything printed to it arrived. A report
+/// written to a full disk or a closed pipe fails only here, so a CLI calls
+/// this before exiting 0. On failure names `prog` on stderr.
+inline bool flush_stdout(const char* prog) {
+  if (std::fflush(stdout) == 0 && std::ferror(stdout) == 0) return true;
+  std::fprintf(stderr, "%s: cannot write to stdout\n", prog);
+  return false;
 }
 
 }  // namespace olden

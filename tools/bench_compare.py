@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare two BENCH JSON files produced by tools/bench_runner.py.
+"""Compare two BENCH (or two HOST) JSON files from tools/bench_runner.py.
 
 Usage: bench_compare.py OLD.json NEW.json [--threshold PCT]
                         [--cell BENCHMARK/SCHEME/NPROCS] [--ci-gate]
@@ -48,12 +48,21 @@ only when the makespans' 95% confidence intervals separate by more
 than the threshold (exact cells have zero-width intervals, so
 exact-vs-exact behavior is unchanged).
 
+HOST documents (bench_runner.py --host, recognised by
+host_bench_schema_version) hold host milliseconds, not cycles. Their
+cells are keyed by (benchmark, scheme, nprocs); a cell's best_ms or the
+document's total_best_ms fails when NEW exceeds OLD by more than a fixed
+2.0x. Shared machines drift tens of percent between runs, so this
+catches an accidentally quadratic simulator, not noise. --threshold,
+--cell, --ci-gate and the trace options apply to BENCH documents only.
+
 Exit codes are distinct so CI scripts can tell the failure modes apart:
   0  OK
   1  comparison failed (regression, or a baseline cell missing from NEW)
   2  usage error
   3  an input file is unusable (missing, unreadable, empty, not JSON, or
-     schema-invalid) — always a one-line error, never a traceback
+     schema-invalid) or a HOST document is compared with a BENCH one —
+     always a one-line error, never a traceback
   4  the requested --cell is absent from both files, or the two files
      share no cells at all
   5  regression found AND at least one cell's diff attribution was
@@ -69,6 +78,13 @@ import subprocess
 import sys
 
 BENCH_SCHEMA_VERSION = 1
+
+HOST_BENCH_SCHEMA_VERSION = 1
+
+# NEW/OLD host-time ratio above which a HOST cell or total fails.
+HOST_FAIL_RATIO = 2.0
+
+MODES = ("tiny", "default", "paper")
 
 BUCKET_KEYS = ["compute", "migration", "cache_stall", "coherence", "idle"]
 
@@ -104,23 +120,13 @@ def check_document(doc, path):
             f"{path}: generator must be 'bench_runner'")
     require(isinstance(doc.get("revision"), str),
             f"{path}: missing revision")
-    require(doc.get("mode") in ("tiny", "default", "paper"),
-            f"{path}: mode must be 'tiny', 'default' or 'paper'")
-    require(isinstance(doc.get("nprocs"), int) and doc["nprocs"] >= 1,
-            f"{path}: nprocs must be a positive integer")
-    cells = doc.get("cells")
-    require(isinstance(cells, list) and cells, f"{path}: missing cells")
+    cells = check_common(doc, path)
     sample = doc.get("sample")
     require(sample is None or (isinstance(sample, str) and sample),
             f"{path}: sample, when present, must be a W:D[:OFFSET] string")
     seen = set()
     for cell in cells:
-        ctx = (f"{path} cell "
-               f"{cell.get('benchmark')}/{cell.get('scheme')}")
-        require(isinstance(cell.get("benchmark"), str) and cell["benchmark"],
-                f"{ctx}: missing benchmark")
-        require(cell.get("scheme") in SCHEMES,
-                f"{ctx}: scheme must be one of {sorted(SCHEMES)}")
+        ctx = check_cell_name(cell, path)
         require(isinstance(cell.get("nprocs"), int) and cell["nprocs"] >= 1,
                 f"{ctx}: bad nprocs")
         key = cell_key(cell)
@@ -175,12 +181,75 @@ def check_document(doc, path):
     return len(cells)
 
 
+def check_common(doc, path):
+    """The mode, nprocs and cells fields BENCH and HOST share; returns the
+    cells."""
+    require(doc.get("mode") in MODES,
+            f"{path}: mode must be 'tiny', 'default' or 'paper'")
+    require(isinstance(doc.get("nprocs"), int) and doc["nprocs"] >= 1,
+            f"{path}: nprocs must be a positive integer")
+    cells = doc.get("cells")
+    require(isinstance(cells, list) and cells, f"{path}: missing cells")
+    return cells
+
+
+def check_cell_name(cell, path):
+    """A cell's benchmark and scheme; returns the context for messages."""
+    require(isinstance(cell, dict), f"{path}: every cell must be an object")
+    ctx = f"{path} cell {cell.get('benchmark')}/{cell.get('scheme')}"
+    require(isinstance(cell.get("benchmark"), str) and cell["benchmark"],
+            f"{ctx}: missing benchmark")
+    require(cell.get("scheme") in SCHEMES,
+            f"{ctx}: scheme must be one of {sorted(SCHEMES)}")
+    return ctx
+
+
+def check_host_document(doc, path):
+    require(doc["host_bench_schema_version"] == HOST_BENCH_SCHEMA_VERSION,
+            f"{path}: host_bench_schema_version must be "
+            f"{HOST_BENCH_SCHEMA_VERSION}, got "
+            f"{doc['host_bench_schema_version']!r}")
+    seen = set()
+    for cell in check_common(doc, path):
+        ctx = check_cell_name(cell, path)
+        key = (cell["benchmark"], cell["scheme"])
+        require(key not in seen, f"{ctx}: duplicate cell")
+        seen.add(key)
+        require(isinstance(cell.get("best_ms"), (int, float))
+                and cell["best_ms"] >= 0,
+                f"{ctx}: best_ms must be a non-negative number")
+        require(isinstance(cell.get("makespan_cycles"), int)
+                and cell["makespan_cycles"] > 0,
+                f"{ctx}: bad makespan_cycles")
+    require(isinstance(doc.get("total_best_ms"), (int, float))
+            and doc["total_best_ms"] >= 0,
+            f"{path}: total_best_ms must be a non-negative number")
+
+
+def is_host(doc):
+    return "host_bench_schema_version" in doc
+
+
+def kind(doc):
+    return "HOST" if is_host(doc) else "BENCH"
+
+
 def cell_key(cell):
     return (cell["benchmark"], cell["scheme"], cell["nprocs"])
 
 
+def cells_by_key(doc):
+    """Cells keyed by (benchmark, scheme, nprocs); HOST cells take nprocs
+    from the document."""
+    if is_host(doc):
+        return {(c["benchmark"], c["scheme"], doc["nprocs"]): c
+                for c in doc["cells"]}
+    return {cell_key(c): c for c in doc["cells"]}
+
+
 def load(path):
-    """Load and validate one BENCH file; SchemaError on anything unusable."""
+    """Load and validate one BENCH or HOST file; SchemaError on anything
+    unusable."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
@@ -193,7 +262,10 @@ def load(path):
     except json.JSONDecodeError as e:
         raise SchemaError(f"{path}: not valid JSON ({e.msg} at line "
                           f"{e.lineno})")
-    check_document(doc, path)
+    if isinstance(doc, dict) and is_host(doc):
+        check_host_document(doc, path)
+    else:
+        check_document(doc, path)
     return doc
 
 
@@ -278,6 +350,29 @@ def compare(old_doc, new_doc, threshold, only_cell=None, ci_gate=False):
     return ok, regressed_keys, bool(mismatched)
 
 
+def compare_host(old_doc, new_doc):
+    """Print the HOST comparison; return True when nothing regressed."""
+    old, new = cells_by_key(old_doc), cells_by_key(new_doc)
+    rows = [(f"{k[0]}/{k[1]}/p={k[2]}", old[k]["best_ms"], new[k]["best_ms"])
+            for k in old if k in new]
+    rows.append(("TOTAL", old_doc["total_best_ms"], new_doc["total_best_ms"]))
+    regressed = 0
+    print(f"{'cell':<28} {'old ms':>9} {'new ms':>9} {'ratio':>7}")
+    for name, before, after in rows:
+        ratio = after / before if before > 0 else float("inf")
+        mark = ""
+        if ratio > HOST_FAIL_RATIO:
+            regressed += 1
+            mark = "  <-- REGRESSION"
+        print(f"{name:<28} {before:9.2f} {after:9.2f} {ratio:7.2f}{mark}")
+    missing = [k for k in old if k not in new]
+    for key in missing:
+        print(f"{'MISSING CELL':>24}  {key[0]}/{key[1]}/p={key[2]}")
+    print(f"compared {len(rows) - 1} cells and the total: {regressed} "
+          f"above {HOST_FAIL_RATIO:g}x, {len(missing)} missing")
+    return regressed == 0 and not missing
+
+
 def describe_edge(edge):
     where = f" @ site {edge['site']}" if edge.get("site") is not None else ""
     return (f"{edge['delta']:+d} {edge['bucket']} "
@@ -360,7 +455,7 @@ def attribute_regressions(regressed_keys, diff_cfg):
 
 def main(argv):
     args = argv[1:]
-    threshold = 5.0
+    threshold = None
     only_cell = None
     ci_gate = False
     if "--ci-gate" in args:
@@ -377,7 +472,8 @@ def main(argv):
             print(f"FAIL: {e}", file=sys.stderr)
             return EXIT_BAD_INPUT
         print(f"OK   {args[0]}: {len(doc['cells'])} cells, "
-              f"schema v{BENCH_SCHEMA_VERSION}")
+              f"{kind(doc)} schema v"
+              f"{doc.get('bench_schema_version', HOST_BENCH_SCHEMA_VERSION)}")
         return EXIT_OK
     if "--threshold" in args:
         i = args.index("--threshold")
@@ -438,12 +534,22 @@ def main(argv):
     except SchemaError as e:
         print(f"FAIL: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    if is_host(old_doc) != is_host(new_doc):
+        print(f"FAIL: {args[0]} is a {kind(old_doc)} document and {args[1]} "
+              f"a {kind(new_doc)} one; host milliseconds and virtual cycles "
+              f"do not compare", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    if is_host(old_doc) and (threshold is not None or only_cell is not None
+                             or ci_gate or diff_cfg is not None):
+        print("bench_compare: --threshold, --cell, --ci-gate and the trace "
+              "options apply to BENCH documents only", file=sys.stderr)
+        return EXIT_USAGE
     if old_doc["mode"] != new_doc["mode"]:
         print(f"FAIL: comparing a {old_doc['mode']!r}-size run against a "
               f"{new_doc['mode']!r}-size run is meaningless", file=sys.stderr)
         return EXIT_COMPARE_FAILED
-    old_keys = {cell_key(c) for c in old_doc["cells"]}
-    new_keys = {cell_key(c) for c in new_doc["cells"]}
+    old_keys = set(cells_by_key(old_doc))
+    new_keys = set(cells_by_key(new_doc))
     if only_cell is not None and only_cell not in old_keys | new_keys:
         name = f"{only_cell[0]}/{only_cell[1]}/p={only_cell[2]}"
         print(f"FAIL: cell {name} is absent from both files",
@@ -453,8 +559,12 @@ def main(argv):
         print("FAIL: the two files share no cells — nothing to compare",
               file=sys.stderr)
         return EXIT_NO_SUCH_CELL
-    ok, regressed_keys, mismatched = compare(old_doc, new_doc, threshold,
-                                             only_cell, ci_gate)
+    if is_host(old_doc):
+        return EXIT_OK if compare_host(old_doc, new_doc) else \
+            EXIT_COMPARE_FAILED
+    ok, regressed_keys, mismatched = compare(
+        old_doc, new_doc, 5.0 if threshold is None else threshold, only_cell,
+        ci_gate)
     if ok:
         return EXIT_OK
     if mismatched:

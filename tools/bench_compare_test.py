@@ -7,7 +7,9 @@ archive missing one cell's trace (an interrupted --keep-traces run), an
 analyze binary emitting garbage, or a malformed diff document must each
 degrade to a per-cell note — never a traceback, never an abort of the
 whole attribution pass — while the documented exit codes (1/3/4/5) stay
-exactly as advertised.
+exactly as advertised. HOST documents (bench_runner.py --host) get the
+same contract: the fixed 2x gate per cell and on the total, missing
+cells, malformed documents and HOST-vs-BENCH refusals.
 
 Stdlib only; registered with ctest from tools/CMakeLists.txt.
 """
@@ -294,6 +296,92 @@ class BenchCompareSampledTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
         self.assertIn("REGRESSION", proc.stdout)
         self.assertIn("[ci95 0 -> 100]", proc.stdout)
+
+
+def host_doc(best_ms, total=None, nprocs=8):
+    """A schema-valid HOST document: {(benchmark, scheme): best_ms}."""
+    cells = [{"benchmark": bench, "scheme": scheme, "best_ms": ms,
+              "makespan_cycles": 1000}
+             for (bench, scheme), ms in best_ms.items()]
+    return {
+        "host_bench_schema_version": 1,
+        "generator": "bench_runner",
+        "mode": "tiny",
+        "nprocs": nprocs,
+        "repeat": 3,
+        "jobs": 1,
+        "cells": cells,
+        "total_best_ms": sum(best_ms.values()) if total is None else total,
+    }
+
+
+class BenchCompareHostTest(unittest.TestCase):
+    """HOST documents: fixed 2x gate, missing cells, kind refusals."""
+
+    BASE = {("TreeAdd", "local"): 10.0, ("MST", "local"): 10.0}
+
+    def setUp(self):
+        self.tmp = tempfile.TemporaryDirectory(prefix="bench_compare_test_")
+        self.addCleanup(self.tmp.cleanup)
+        self.dir = self.tmp.name
+
+    def compare(self, old_doc, new_doc, *extra):
+        paths = []
+        for name, doc in (("old.json", old_doc), ("new.json", new_doc)):
+            paths.append(os.path.join(self.dir, name))
+            with open(paths[-1], "w", encoding="utf-8") as f:
+                json.dump(doc, f)
+        proc = subprocess.run(
+            [sys.executable, BENCH_COMPARE, *paths, *extra],
+            capture_output=True, text=True)
+        self.assertNotIn("Traceback", proc.stderr, proc.stderr)
+        return proc
+
+    def expect(self, code, old_doc, new_doc, *extra):
+        proc = self.compare(old_doc, new_doc, *extra)
+        self.assertEqual(proc.returncode, code, proc.stdout + proc.stderr)
+        return proc
+
+    def test_within_2x_passes(self):
+        self.expect(0, host_doc(self.BASE),
+                    host_doc({("TreeAdd", "local"): 19.9,
+                              ("MST", "local"): 5.0}))
+
+    def test_one_cell_beyond_2x_fails(self):
+        proc = self.expect(1, host_doc(self.BASE),
+                           host_doc({("TreeAdd", "local"): 20.1,
+                                     ("MST", "local"): 1.0}))
+        self.assertIn("TreeAdd/local/p=8", proc.stdout)
+        self.assertIn("REGRESSION", proc.stdout)
+
+    def test_total_beyond_2x_fails(self):
+        proc = self.expect(1, host_doc(self.BASE),
+                           host_doc(self.BASE, total=40.1))
+        self.assertIn("REGRESSION", proc.stdout.split("TOTAL", 1)[1])
+
+    def test_missing_cell_fails(self):
+        proc = self.expect(1, host_doc(self.BASE),
+                           host_doc({("TreeAdd", "local"): 10.0}))
+        self.assertIn("MISSING CELL", proc.stdout)
+
+    def test_missing_total_is_unusable(self):
+        doc = host_doc(self.BASE)
+        del doc["total_best_ms"]
+        proc = self.expect(3, doc, host_doc(self.BASE))
+        self.assertIn("total_best_ms", proc.stderr)
+
+    def test_host_against_bench_is_refused(self):
+        proc = self.expect(3, host_doc(self.BASE),
+                           bench_doc("head", {"TreeAdd": ("local", 1000)}))
+        self.assertIn("HOST", proc.stderr)
+
+    def test_no_shared_cells_exits_4(self):
+        self.expect(4, host_doc(self.BASE),
+                    host_doc({("Power", "local"): 10.0}))
+
+    def test_bench_only_options_are_usage_errors(self):
+        self.expect(2, host_doc(self.BASE), host_doc(self.BASE),
+                    "--threshold", "10")
 
 
 if __name__ == "__main__":

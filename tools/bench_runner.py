@@ -5,6 +5,7 @@ Usage: bench_runner.py [--build-dir DIR] [--out FILE] [--tiny | --paper]
                        [--nprocs N] [--revision REV] [--benchmarks A,B,...]
                        [--jobs N] [--timeout SECS] [--keep-traces DIR]
                        [--keep-profiles DIR] [--sample W:D[:OFFSET]]
+                       [--host]
 
 For every benchmark in the suite (or the --benchmarks subset) this runs
 `bench_cell` across the three coherence schemes with --stats-json and
@@ -49,6 +50,14 @@ regardless (warming never perturbs logical state), so a sampled tier is
 directly comparable against an exact baseline with
 bench_compare.py --ci-gate.
 
+--host times the simulator itself instead (docs/PERFORMANCE.md). Each
+benchmark's bench_cell runs with --time=3 and no observer, and the
+document written is the HOST one: best-of-3 host milliseconds and the
+makespan per cell in suite order, plus their total
+(host_bench_schema_version, HOST_<rev>.json by default). There is no
+trace, so --host is refused together with --sample, --keep-traces and
+--keep-profiles. tools/bench_compare.py compares HOST documents too.
+
 bench_cell validates every cell's checksum against the host-side
 sequential reference, so a nonzero exit here means a *correctness*
 regression, not just a slow one. A failing child's exit code is
@@ -62,6 +71,7 @@ import argparse
 import concurrent.futures
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -74,6 +84,17 @@ import tempfile
 PAPER_TRACE_LIMIT = 60_000_000
 
 BENCH_SCHEMA_VERSION = 1
+
+HOST_BENCH_SCHEMA_VERSION = 1
+
+# bench_cell --time repetitions per cell; the best one is reported.
+HOST_REPEAT = 3
+
+SIZE_FLAGS = {"tiny": ["--tiny"], "paper": ["--paper-size"]}
+
+# One bench_cell --time row: benchmark, scheme, makespan, best ms.
+TIMED_ROW = re.compile(r"(\S+) +(\S+) +p=\d+ +makespan +(\d+) cycles  "
+                       r"checksum ok  best (\d+\.\d+) ms")
 
 SCHEMES = ["local", "global", "bilateral"]
 
@@ -172,12 +193,9 @@ def run_benchmark(bench_cell, analyze, name, nprocs, mode, timeout, tmpdir,
     profile_path = os.path.join(tmpdir, f"{name}.profile.json")
     if keep_profiles is not None:
         cmd.append(f"--profile={profile_path}")
-    if mode == "tiny":
-        cmd.append("--tiny")
-    elif paper:
-        cmd.append("--paper-size")
-        if sample is None:
-            cmd.append(f"--trace-limit={PAPER_TRACE_LIMIT}")
+    cmd += SIZE_FLAGS.get(mode, [])
+    if paper and sample is None:
+        cmd.append(f"--trace-limit={PAPER_TRACE_LIMIT}")
     run_child(cmd, f"bench_cell for {name}", timeout)
     if keep_profiles is not None:
         shutil.move(profile_path,
@@ -248,30 +266,40 @@ def run_benchmark(bench_cell, analyze, name, nprocs, mode, timeout, tmpdir,
     return cells
 
 
-def run_matrix(bench_cell, analyze, names, args, mode, cells):
-    """Run every benchmark, serially or on a --jobs thread pool."""
-    with tempfile.TemporaryDirectory(prefix="olden-bench-") as tmpdir:
-        if args.jobs == 1:
-            for name in names:
-                cells.extend(run_benchmark(bench_cell, analyze, name,
-                                           args.nprocs, mode, args.timeout,
-                                           tmpdir, args.keep_traces,
-                                           args.keep_profiles, args.sample))
-                print(f"  {name}: {len(SCHEMES)} cells ok")
-            return
-        # Completion order is nondeterministic; assembly order is not:
-        # results are gathered per future and appended in suite order.
-        with concurrent.futures.ThreadPoolExecutor(
-                max_workers=args.jobs) as pool:
-            futures = {
-                name: pool.submit(run_benchmark, bench_cell, analyze, name,
-                                  args.nprocs, mode, args.timeout, tmpdir,
-                                  args.keep_traces, args.keep_profiles,
-                                  args.sample)
-                for name in names}
-            for name in names:
-                cells.extend(futures[name].result())
-                print(f"  {name}: {len(SCHEMES)} cells ok")
+def time_benchmark(bench_cell, name, nprocs, mode, timeout):
+    """Time one benchmark across all schemes; return its HOST cells."""
+    cmd = [bench_cell, f"--benchmark={name}", f"--nprocs={nprocs}",
+           f"--schemes={','.join(SCHEMES)}", f"--time={HOST_REPEAT}",
+           *SIZE_FLAGS.get(mode, [])]
+    proc = run_child(cmd, f"bench_cell --time for {name}", timeout)
+    cells = [{"benchmark": m[1], "scheme": m[2], "best_ms": float(m[4]),
+              "makespan_cycles": int(m[3])}
+             for m in map(TIMED_ROW.fullmatch, proc.stdout.splitlines())
+             if m]
+    if len(cells) != len(SCHEMES):
+        raise CellError(f"bench_cell --time for {name} printed "
+                        f"{len(cells)} timed rows, want {len(SCHEMES)}:\n"
+                        f"{proc.stdout}", 1)
+    return cells
+
+
+def run_matrix(run_one, names, jobs):
+    """Run run_one(name) for every benchmark, serially or on a --jobs
+    thread pool; return the cells in suite order."""
+    cells = []
+    if jobs == 1:
+        for name in names:
+            cells.extend(run_one(name))
+            print(f"  {name}: {len(SCHEMES)} cells ok")
+        return cells
+    # Completion order is nondeterministic; assembly order is not:
+    # results are gathered per future and appended in suite order.
+    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+        futures = {name: pool.submit(run_one, name) for name in names}
+        for name in names:
+            cells.extend(futures[name].result())
+            print(f"  {name}: {len(SCHEMES)} cells ok")
+    return cells
 
 
 def main(argv):
@@ -311,11 +339,18 @@ def main(argv):
                     help="revision label (default: git rev-parse --short)")
     ap.add_argument("--benchmarks", default=None,
                     help="comma-separated subset (default: full suite)")
+    ap.add_argument("--host", action="store_true",
+                    help="time the simulator: best-of-3 host ms per cell "
+                    "into a HOST document (default: HOST_<rev>.json)")
     args = ap.parse_args(argv[1:])
     if args.jobs < 1:
         ap.error("--jobs must be >= 1")
     if args.timeout is not None and args.timeout <= 0:
         ap.error("--timeout must be > 0")
+    if args.host and (args.sample is not None or args.keep_traces is not None
+                      or args.keep_profiles is not None):
+        ap.error("--host times the bare simulator; it cannot be combined "
+                 "with --sample, --keep-traces or --keep-profiles")
     if args.sample is not None:
         if args.keep_traces is not None or args.keep_profiles is not None:
             ap.error("--sample suppresses per-event emission; it cannot be "
@@ -327,7 +362,7 @@ def main(argv):
 
     bench_cell = os.path.join(args.build_dir, "bench", "bench_cell")
     analyze = os.path.join(args.build_dir, "tools", "olden-analyze")
-    for binary in (bench_cell, analyze):
+    for binary in (bench_cell,) if args.host else (bench_cell, analyze):
         if not os.access(binary, os.X_OK):
             fail(f"missing binary {binary} (build the repo first)")
 
@@ -345,31 +380,55 @@ def main(argv):
     if args.keep_profiles is not None:
         os.makedirs(args.keep_profiles, exist_ok=True)
     mode = "tiny" if args.tiny else "paper" if args.paper else "default"
-    cells = []
     try:
-        run_matrix(bench_cell, analyze, names, args, mode, cells)
+        with tempfile.TemporaryDirectory(prefix="olden-bench-") as tmpdir:
+            def run_one(name):
+                if args.host:
+                    return time_benchmark(bench_cell, name, args.nprocs,
+                                          mode, args.timeout)
+                return run_benchmark(bench_cell, analyze, name, args.nprocs,
+                                     mode, args.timeout, tmpdir,
+                                     args.keep_traces, args.keep_profiles,
+                                     args.sample)
+            cells = run_matrix(run_one, names, args.jobs)
     except CellError as e:
         fail(str(e), e.code)
-    cells.sort(key=lambda c: (c["benchmark"], c["scheme"]))
 
-    doc = {
-        "bench_schema_version": BENCH_SCHEMA_VERSION,
-        "generator": "bench_runner",
-        "revision": revision,
-        "mode": mode,
-        "nprocs": args.nprocs,
-        "cells": cells,
-    }
-    if args.sample is not None:
-        doc["sample"] = args.sample
-    out_path = args.out or f"BENCH_{revision}.json"
+    if args.host:
+        # The HOST schema's key order; cells stay in suite order.
+        total_best_ms = round(sum(c["best_ms"] for c in cells), 3)
+        doc = {
+            "host_bench_schema_version": HOST_BENCH_SCHEMA_VERSION,
+            "generator": "bench_runner",
+            "mode": mode,
+            "nprocs": args.nprocs,
+            "repeat": HOST_REPEAT,
+            "jobs": args.jobs,
+            "cells": cells,
+            "total_best_ms": total_best_ms,
+        }
+        detail = f", best of {HOST_REPEAT}: {total_best_ms:.3f} ms"
+    else:
+        cells.sort(key=lambda c: (c["benchmark"], c["scheme"]))
+        doc = {
+            "bench_schema_version": BENCH_SCHEMA_VERSION,
+            "generator": "bench_runner",
+            "revision": revision,
+            "mode": mode,
+            "nprocs": args.nprocs,
+            "cells": cells,
+        }
+        if args.sample is not None:
+            doc["sample"] = args.sample
+        detail = f", sampled {args.sample}" if args.sample is not None else ""
+    kind = "HOST" if args.host else "BENCH"
+    out_path = args.out or f"{kind}_{revision}.json"
     with open(out_path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
+        json.dump(doc, f, indent=1, sort_keys=not args.host)
         f.write("\n")
-    sampled = f", sampled {args.sample}" if args.sample is not None else ""
     print(f"wrote {out_path}: {len(cells)} cells "
           f"({len(names)} benchmarks x {len(SCHEMES)} schemes, "
-          f"p={args.nprocs}, {doc['mode']} size{sampled})")
+          f"p={args.nprocs}, {mode} size{detail})")
     return 0
 
 

@@ -43,8 +43,8 @@
 // Exit codes: 0 success, 1 unreadable/unsupported trace, profile or stats
 // document (including v1 logs and unknown schema versions, named
 // explicitly), missing run labels, a diff invariant violation, or an
-// output file that could not be written, 2 usage error (including a
-// malformed --top).
+// output file or stdout that could not be written, 2 usage error
+// (including a malformed --top).
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -245,9 +245,8 @@ int run_profile(const std::string& path, std::size_t top_n,
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// Parses the command line and runs one mode; returns the exit code.
+int run_cli(int argc, char** argv) {
   std::string trace_path;
   std::string diff_a;
   std::string diff_b;
@@ -411,4 +410,14 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const int rc = run_cli(argc, argv);
+  // A report lost on stdout (full disk, closed pipe) is output that could
+  // not be written, like an unwritable --json-out.
+  if (rc == 0 && !olden::flush_stdout("olden-analyze")) return 1;
+  return rc;
 }

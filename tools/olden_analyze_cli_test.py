@@ -4,8 +4,9 @@
 Runs the built binary on a tiny TreeAdd trace written by bench_cell
 --trace-bin and checks the documented exit codes: 0 for a normal report,
 2 for usage errors (a removed flag, a malformed --top, no input), and 1
-for a truncated trace or an output file that cannot be written. The human
-report must print the critical path's heaviest edges.
+for a truncated trace or an output file that cannot be written, stdout
+included (bench_cell's too). The human report must print the critical
+path's heaviest edges.
 
 Usage: olden_analyze_cli_test.py OLDEN_ANALYZE BENCH_CELL
 
@@ -88,6 +89,26 @@ class OldenAnalyzeCli(unittest.TestCase):
                          "--json-out", "/dev/full")
         self.expect_exit(1, "--profile", self.profile,
                          "--feedback-out", "/dev/full")
+
+    @unittest.skipUnless(os.path.exists("/dev/full"), "no /dev/full")
+    def test_unwritable_stdout_exits_1(self):
+        for args in (["--trace-bin", self.trace],
+                     ["--trace-bin", self.trace, "--json"],
+                     ["--diff", self.trace, self.trace],
+                     ["--diff", self.trace, self.trace, "--json"]):
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run([ANALYZE, *args], stdout=full,
+                                      stderr=subprocess.PIPE, text=True,
+                                      timeout=120)
+            self.assertEqual(proc.returncode, 1, f"{args}\n{proc.stderr}")
+            self.assertIn("stdout", proc.stderr)
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([BENCH_CELL, "--benchmark=TreeAdd",
+                                   "--tiny"], stdout=full,
+                                  stderr=subprocess.PIPE, text=True,
+                                  timeout=300)
+        self.assertEqual(proc.returncode, 1, proc.stderr)
+        self.assertIn("stdout", proc.stderr)
 
 
 if __name__ == "__main__":
