@@ -6,6 +6,7 @@
 
 #include "olden/analyze/classify.hpp"
 #include "olden/analyze/report.hpp"
+#include "olden/support/json.hpp"
 
 namespace olden::analyze {
 

@@ -3,420 +3,127 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
+
+#include "olden/support/json.hpp"
+#include "olden/support/write_file.hpp"
 
 namespace olden::analyze {
 
 namespace {
 
-// --- a restricted JSON parser, as in profile_reader.cpp, but admitting
-// the floating-point numbers stats documents carry --------------------------
+using jsonio::fail;
+using jsonio::field_path;
+using jsonio::get_object;
+using jsonio::get_string;
+using jsonio::get_uint;
+using jsonio::Value;
 
-struct Value {
-  enum class Kind { kObject, kArray, kString, kUint, kDouble, kBool } kind =
-      Kind::kUint;
-  std::map<std::string, Value> object;
-  std::vector<Value> array;
-  std::string string;
-  std::uint64_t uint = 0;
-  double real = 0.0;
-  bool boolean = false;
-};
-
-class Parser {
- public:
-  Parser(const char* data, std::size_t size, std::string* err)
-      : p_(data), end_(data + size), err_(err) {}
-
-  bool parse(Value* out) {
-    skip_ws();
-    if (!parse_value(out)) return false;
-    skip_ws();
-    if (p_ != end_) return fail("trailing bytes after document");
-    return true;
-  }
-
- private:
-  bool fail(const std::string& what) {
-    if (err_ != nullptr && err_->empty()) *err_ = "stats: " + what;
-    return false;
-  }
-
-  void skip_ws() {
-    while (p_ != end_ && (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' ||
-                          *p_ == '\r')) {
-      ++p_;
-    }
-  }
-
-  bool parse_value(Value* out) {
-    if (p_ == end_) return fail("unexpected end of input");
-    switch (*p_) {
-      case '{': return parse_object(out);
-      case '[': return parse_array(out);
-      case '"': out->kind = Value::Kind::kString;
-                return parse_string(&out->string);
-      case 't':
-      case 'f': return parse_bool(out);
-      default: return parse_number(out);
-    }
-  }
-
-  bool parse_object(Value* out) {
-    out->kind = Value::Kind::kObject;
-    ++p_;  // '{'
-    skip_ws();
-    if (p_ != end_ && *p_ == '}') {
-      ++p_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (!parse_string(&key)) return false;
-      skip_ws();
-      if (p_ == end_ || *p_ != ':') return fail("expected ':' in object");
-      ++p_;
-      skip_ws();
-      Value v;
-      if (!parse_value(&v)) return false;
-      out->object.emplace(std::move(key), std::move(v));
-      skip_ws();
-      if (p_ == end_) return fail("unterminated object");
-      if (*p_ == ',') {
-        ++p_;
-        continue;
-      }
-      if (*p_ == '}') {
-        ++p_;
-        return true;
-      }
-      return fail("expected ',' or '}' in object");
-    }
-  }
-
-  bool parse_array(Value* out) {
-    out->kind = Value::Kind::kArray;
-    ++p_;  // '['
-    skip_ws();
-    if (p_ != end_ && *p_ == ']') {
-      ++p_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      Value v;
-      if (!parse_value(&v)) return false;
-      out->array.push_back(std::move(v));
-      skip_ws();
-      if (p_ == end_) return fail("unterminated array");
-      if (*p_ == ',') {
-        ++p_;
-        continue;
-      }
-      if (*p_ == ']') {
-        ++p_;
-        return true;
-      }
-      return fail("expected ',' or ']' in array");
-    }
-  }
-
-  bool parse_string(std::string* out) {
-    if (p_ == end_ || *p_ != '"') return fail("expected string");
-    ++p_;
-    out->clear();
-    while (p_ != end_ && *p_ != '"') {
-      char c = *p_++;
-      if (c == '\\') {
-        if (p_ == end_) return fail("unterminated escape");
-        const char e = *p_++;
-        switch (e) {
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case '/': c = '/'; break;
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          case 'u': {
-            // The exporters only \u-escape control characters; decode the
-            // low byte and reject anything wider.
-            if (end_ - p_ < 4) return fail("truncated \\u escape");
-            unsigned v = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = *p_++;
-              v <<= 4;
-              if (h >= '0' && h <= '9') v |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f')
-                v |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F')
-                v |= static_cast<unsigned>(h - 'A' + 10);
-              else return fail("bad \\u escape");
-            }
-            if (v > 0xff) return fail("non-latin \\u escape unsupported");
-            c = static_cast<char>(v);
-            break;
-          }
-          default: return fail("unsupported escape");
-        }
-      }
-      out->push_back(c);
-    }
-    if (p_ == end_) return fail("unterminated string");
-    ++p_;  // closing quote
-    return true;
-  }
-
-  bool parse_bool(Value* out) {
-    out->kind = Value::Kind::kBool;
-    if (end_ - p_ >= 4 && std::strncmp(p_, "true", 4) == 0) {
-      out->boolean = true;
-      p_ += 4;
-      return true;
-    }
-    if (end_ - p_ >= 5 && std::strncmp(p_, "false", 5) == 0) {
-      out->boolean = false;
-      p_ += 5;
-      return true;
-    }
-    return fail("expected true/false");
-  }
-
-  bool parse_number(Value* out) {
-    const char* start = p_;
-    if (p_ != end_ && *p_ == '-') ++p_;
-    while (p_ != end_ && *p_ >= '0' && *p_ <= '9') ++p_;
-    bool is_real = false;
-    if (p_ != end_ && (*p_ == '.' || *p_ == 'e' || *p_ == 'E')) {
-      is_real = true;
-      if (*p_ == '.') {
-        ++p_;
-        while (p_ != end_ && *p_ >= '0' && *p_ <= '9') ++p_;
-      }
-      if (p_ != end_ && (*p_ == 'e' || *p_ == 'E')) {
-        ++p_;
-        if (p_ != end_ && (*p_ == '+' || *p_ == '-')) ++p_;
-        while (p_ != end_ && *p_ >= '0' && *p_ <= '9') ++p_;
-      }
-    }
-    if (p_ == start) return fail("expected a value");
-    const std::string text(start, static_cast<std::size_t>(p_ - start));
-    if (is_real || text[0] == '-') {
-      out->kind = Value::Kind::kDouble;
-      out->real = std::strtod(text.c_str(), nullptr);
-      return true;
-    }
-    out->kind = Value::Kind::kUint;
-    std::uint64_t v = 0;
-    for (char c : text) {
-      const std::uint64_t d = static_cast<std::uint64_t>(c - '0');
-      if (v > (UINT64_MAX - d) / 10) return fail("integer overflow");
-      v = v * 10 + d;
-    }
-    out->uint = v;
-    return true;
-  }
-
-  const char* p_;
-  const char* end_;
-  std::string* err_;
-};
-
-const Value* get_field(const Value& obj, const char* key) {
-  if (obj.kind != Value::Kind::kObject) return nullptr;
-  const auto it = obj.object.find(key);
-  return it == obj.object.end() ? nullptr : &it->second;
+bool load_estimate(const Value& obj, const std::string& path, const char* key,
+                   SampledEstimate* out, std::string* err) {
+  const std::string at = field_path(path, key);
+  const Value* e = get_object(obj, path, key, err);
+  return e != nullptr && get_uint(*e, at, "estimate", &out->estimate, err) &&
+         get_uint(*e, at, "ci95", &out->ci95, err);
 }
 
-bool get_uint(const Value& obj, const char* key, std::uint64_t* out,
-              std::string* err) {
-  const Value* v = get_field(obj, key);
-  if (v == nullptr || v->kind != Value::Kind::kUint) {
-    if (err != nullptr && err->empty()) {
-      *err = std::string("stats: missing or non-integer field '") + key + "'";
-    }
-    return false;
-  }
-  *out = v->uint;
-  return true;
-}
-
-bool get_string(const Value& obj, const char* key, std::string* out,
-                std::string* err) {
-  const Value* v = get_field(obj, key);
-  if (v == nullptr || v->kind != Value::Kind::kString) {
-    if (err != nullptr && err->empty()) {
-      *err = std::string("stats: missing or non-string field '") + key + "'";
-    }
-    return false;
-  }
-  *out = v->string;
-  return true;
-}
-
-bool load_estimate(const Value& obj, SampledEstimate* out, std::string* err) {
-  std::uint64_t est = 0;
-  std::uint64_t ci = 0;
-  if (!get_uint(obj, "estimate", &est, err) ||
-      !get_uint(obj, "ci95", &ci, err)) {
-    return false;
-  }
-  out->estimate = est;
-  out->ci95 = ci;
-  return true;
-}
-
-bool load_uint_map(const Value& obj, std::map<std::string, std::uint64_t>* out,
+bool load_uint_map(const Value& obj, const std::string& path, const char* key,
+                   std::map<std::string, std::uint64_t>* out,
                    std::string* err) {
-  if (obj.kind != Value::Kind::kObject) {
-    if (err != nullptr && err->empty()) *err = "stats: expected an object";
-    return false;
-  }
-  for (const auto& [k, v] : obj.object) {
-    if (v.kind != Value::Kind::kUint) {
-      if (err != nullptr && err->empty()) {
-        *err = "stats: non-integer entry '" + k + "'";
-      }
-      return false;
-    }
-    (*out)[k] = v.uint;
+  const Value* m = get_object(obj, path, key, err);
+  if (m == nullptr) return false;
+  const std::string at = field_path(path, key);
+  for (const auto& [k, v] : m->object) {
+    if (!get_uint(*m, at, k.c_str(), &(*out)[k], err)) return false;
   }
   return true;
 }
 
-bool load_estimate_map(const Value& obj,
+bool load_estimate_map(const Value& obj, const std::string& path,
+                       const char* key,
                        std::map<std::string, SampledEstimate>* out,
                        std::string* err) {
-  if (obj.kind != Value::Kind::kObject) {
-    if (err != nullptr && err->empty()) *err = "stats: expected an object";
-    return false;
-  }
-  for (const auto& [k, v] : obj.object) {
-    SampledEstimate e;
-    if (!load_estimate(v, &e, err)) return false;
-    (*out)[k] = e;
+  const Value* m = get_object(obj, path, key, err);
+  if (m == nullptr) return false;
+  const std::string at = field_path(path, key);
+  for (const auto& [k, v] : m->object) {
+    if (!load_estimate(*m, at, k.c_str(), &(*out)[k], err)) return false;
   }
   return true;
 }
 
-bool load_run(const Value& rv, SampledRun* run, std::string* err) {
-  if (!get_string(rv, "label", &run->label, err)) return false;
-  const Value* config = get_field(rv, "config");
-  if (config == nullptr) {
-    if (err != nullptr && err->empty()) *err = "stats: run without config";
+bool load_run(const Value& rv, const std::string& at, SampledRun* run,
+              std::string* err) {
+  const std::string config_at = at + ".config";
+  const Value* config = nullptr;
+  if (!get_string(rv, at, "label", &run->label, err) ||
+      (config = get_object(rv, at, "config", err)) == nullptr ||
+      !get_uint(*config, config_at, "nprocs", &run->nprocs, err) ||
+      !get_string(*config, config_at, "scheme", &run->scheme, err) ||
+      !get_uint(rv, at, "makespan_cycles", &run->makespan, err)) {
     return false;
   }
-  std::uint64_t nprocs = 0;
-  if (!get_uint(*config, "nprocs", &nprocs, err) ||
-      !get_string(*config, "scheme", &run->scheme, err)) {
+  run->benchmark = jsonio::get_string_opt(*config, "benchmark");
+  // Exact runs carry no "sampled" field at all.
+  if (rv.object.count("sampled") != 0 &&
+      !jsonio::get_bool(rv, at, "sampled", &run->sampled, err)) {
     return false;
   }
-  run->nprocs = static_cast<std::uint32_t>(nprocs);
-  if (const Value* b = get_field(*config, "benchmark");
-      b != nullptr && b->kind == Value::Kind::kString) {
-    run->benchmark = b->string;
-  }
-  if (!get_uint(rv, "makespan_cycles", &run->makespan, err)) return false;
-
-  const Value* sampled = get_field(rv, "sampled");
-  run->sampled = sampled != nullptr &&
-                 sampled->kind == Value::Kind::kBool && sampled->boolean;
   if (!run->sampled) return true;
 
-  const Value* sample = get_field(rv, "sample");
-  if (sample == nullptr) {
-    if (err != nullptr && err->empty()) {
-      *err = "stats: sampled run without a sample block";
-    }
-    return false;
-  }
-  if (!get_uint(*sample, "window_cycles", &run->window_cycles, err) ||
-      !get_uint(*sample, "detail_cycles", &run->detail_cycles, err) ||
-      !get_uint(*sample, "offset_cycles", &run->offset_cycles, err) ||
-      !get_uint(*sample, "windows", &run->windows, err) ||
-      !get_uint(*sample, "measured_cycles", &run->measured_cycles, err)) {
-    return false;
-  }
-  const Value* measured = get_field(rv, "measured");
-  const Value* estimates = get_field(rv, "estimates");
-  if (measured == nullptr || estimates == nullptr) {
-    if (err != nullptr && err->empty()) {
-      *err = "stats: sampled run without measured/estimates blocks";
-    }
-    return false;
-  }
-  const Value* mb = get_field(*measured, "bucket_cycles");
-  const Value* me = get_field(*measured, "event_counts");
-  const Value* em = get_field(*estimates, "makespan");
-  const Value* eb = get_field(*estimates, "buckets");
-  const Value* ee = get_field(*estimates, "event_counts");
-  if (mb == nullptr || me == nullptr || em == nullptr || eb == nullptr ||
-      ee == nullptr) {
-    if (err != nullptr && err->empty()) {
-      *err = "stats: sampled run with incomplete measured/estimates blocks";
-    }
-    return false;
-  }
-  return load_uint_map(*mb, &run->measured_buckets, err) &&
-         load_uint_map(*me, &run->measured_events, err) &&
-         load_estimate(*em, &run->makespan_estimate, err) &&
-         load_estimate_map(*eb, &run->bucket_estimates, err) &&
-         load_estimate_map(*ee, &run->event_estimates, err);
+  const std::string sample_at = at + ".sample";
+  const std::string measured_at = at + ".measured";
+  const std::string estimates_at = at + ".estimates";
+  const Value* sample = nullptr;
+  const Value* measured = nullptr;
+  const Value* estimates = nullptr;
+  return (sample = get_object(rv, at, "sample", err)) != nullptr &&
+         get_uint(*sample, sample_at, "window_cycles", &run->window_cycles,
+                  err) &&
+         get_uint(*sample, sample_at, "detail_cycles", &run->detail_cycles,
+                  err) &&
+         get_uint(*sample, sample_at, "offset_cycles", &run->offset_cycles,
+                  err) &&
+         get_uint(*sample, sample_at, "windows", &run->windows, err) &&
+         get_uint(*sample, sample_at, "measured_cycles",
+                  &run->measured_cycles, err) &&
+         (measured = get_object(rv, at, "measured", err)) != nullptr &&
+         (estimates = get_object(rv, at, "estimates", err)) != nullptr &&
+         load_uint_map(*measured, measured_at, "bucket_cycles",
+                       &run->measured_buckets, err) &&
+         load_uint_map(*measured, measured_at, "event_counts",
+                       &run->measured_events, err) &&
+         load_estimate(*estimates, estimates_at, "makespan",
+                       &run->makespan_estimate, err) &&
+         load_estimate_map(*estimates, estimates_at, "buckets",
+                           &run->bucket_estimates, err) &&
+         load_estimate_map(*estimates, estimates_at, "event_counts",
+                           &run->event_estimates, err);
 }
 
 }  // namespace
 
 bool load_sampled_stats(const std::string& path, SampledStatsDoc* out,
                         std::string* err) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    if (err != nullptr) *err = "cannot open " + path;
-    return false;
-  }
-  std::string data;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) data.append(buf, n);
-  const bool read_ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!read_ok) {
-    if (err != nullptr) *err = "read error on " + path;
-    return false;
-  }
-
+  std::string text;
   Value doc;
-  Parser parser(data.data(), data.size(), err);
-  if (!parser.parse(&doc)) return false;
-
   std::uint64_t version = 0;
-  if (!get_uint(doc, "schema_version", &version, err)) return false;
-  out->schema_version = static_cast<int>(version);
   std::string generator;
-  if (!get_string(doc, "generator", &generator, err)) return false;
-  if (generator != "olden-trace") {
-    if (err != nullptr) *err = "stats: unknown generator '" + generator + "'";
+  if (!read_file(path, &text, err) || !jsonio::parse(text, &doc, err) ||
+      !get_uint(doc, "", "schema_version", &version, err) ||
+      !get_string(doc, "", "generator", &generator, err)) {
     return false;
+  }
+  out->schema_version = static_cast<int>(version);
+  if (generator != "olden-trace") {
+    return fail(err, "unknown generator \"" + generator + "\"");
   }
   if (version < 5) {
-    if (err != nullptr) {
-      *err = "stats: schema v" + std::to_string(version) +
-             " predates sampling (need v5+); re-run with --sample";
-    }
-    return false;
+    return fail(err, "schema v" + std::to_string(version) +
+                         " predates sampling (need v5+); re-run with "
+                         "--sample");
   }
-  const Value* runs = get_field(doc, "runs");
-  if (runs == nullptr || runs->kind != Value::Kind::kArray) {
-    if (err != nullptr) *err = "stats: missing runs array";
-    return false;
-  }
-  for (const Value& rv : runs->array) {
-    SampledRun run;
-    if (!load_run(rv, &run, err)) return false;
-    out->runs.push_back(std::move(run));
-  }
-  return true;
+  return jsonio::get_rows(doc, "", "runs", &out->runs, load_run, err);
 }
 
 std::string sample_human_report(const SampledStatsDoc& doc, std::size_t top) {

@@ -1,10 +1,9 @@
 // `olden-analyze --sampled-stats` report: load a v5 stats document
 // produced by a `--sample` run and render the window schedule, sampling
 // coverage, and per-bucket / per-event estimates with their confidence
-// intervals in human form. The loader is deliberately restricted (like the
-// profile reader's): it accepts exactly the JSON the exporters emit, plus
-// the floating-point fields stats documents carry ("seconds", histogram
-// means), and fails loudly on anything else.
+// intervals in human form. The document is read with the shared JSON reader
+// (support/json.hpp), the same one the profile reader uses; a malformed
+// document or a field of the wrong type fails loudly.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +51,8 @@ struct SampledStatsDoc {
 
 /// Load a stats JSON file. Exact (non-sampled) runs load with
 /// sampled == false; the report notes and skips them. Returns false with a
-/// one-line message on malformed input or an unknown schema version.
+/// one-line message, which does not name `path`, on an unreadable file,
+/// malformed input or an unknown schema version.
 bool load_sampled_stats(const std::string& path, SampledStatsDoc* out,
                         std::string* err);
 

@@ -10,12 +10,6 @@ namespace olden::bench {
 
 namespace {
 
-void env_default(std::string* opt, const char* var) {
-  if (!opt->empty()) return;
-  const char* v = std::getenv(var);
-  if (v != nullptr && v[0] != '\0') *opt = v;
-}
-
 [[noreturn]] void flag_error(const char* argv0, const char* what) {
   std::fprintf(stderr, "%s: %s\n", argv0 != nullptr ? argv0 : "olden-bench",
                what);
@@ -33,8 +27,6 @@ void ObsCli::parse(int* argc, char** argv,
   std::string adapt_interval_str;
   std::string adapt_hysteresis_str;
   std::string sample_str;
-  bool breakdown_env =
-      std::getenv("OLDEN_BREAKDOWN") != nullptr;
   auto passes_through = [&](const char* arg) {
     if (std::strcmp(arg, "--help") == 0) return true;
     for (const char* prefix : passthrough) {
@@ -117,17 +109,6 @@ void ObsCli::parse(int* argc, char** argv,
   *argc = kept;
   argv[kept] = nullptr;
 
-  env_default(&trace_path_, "OLDEN_TRACE");
-  env_default(&trace_bin_path_, "OLDEN_TRACE_BIN");
-  env_default(&stats_path_, "OLDEN_STATS_JSON");
-  env_default(&profile_path_, "OLDEN_PROFILE");
-  env_default(&profile_interval_str, "OLDEN_PROFILE_INTERVAL");
-  env_default(&limit_str, "OLDEN_TRACE_LIMIT");
-  env_default(&faults_str, "OLDEN_FAULTS");
-  env_default(&fault_seed_str, "OLDEN_FAULT_SEED");
-  env_default(&adapt_interval_str, "OLDEN_ADAPT_INTERVAL");
-  env_default(&adapt_hysteresis_str, "OLDEN_ADAPT_HYSTERESIS");
-  env_default(&sample_str, "OLDEN_SAMPLE");
   if (!limit_str.empty()) {
     std::uint64_t limit = 0;
     if (!parse_u64_strict(limit_str, &limit)) {
@@ -182,7 +163,6 @@ void ObsCli::parse(int* argc, char** argv,
   } else if (!profile_path_.empty()) {
     obs_.enable_profile();
   }
-  breakdown_ = breakdown_ || breakdown_env;
   if (!sample_str.empty()) {
     sample::Spec spec;
     std::string err;
@@ -322,12 +302,7 @@ const char* ObsCli::usage() {
          "with 95%\n"
          "                     CIs (excludes --trace*/--profile; see "
          "docs/SAMPLING.md)\n"
-         "  --version          print stats/trace schema versions and exit\n"
-         "  (env: OLDEN_TRACE, OLDEN_TRACE_BIN, "
-         "OLDEN_STATS_JSON, OLDEN_PROFILE, OLDEN_PROFILE_INTERVAL, "
-         "OLDEN_TRACE_LIMIT, OLDEN_BREAKDOWN, OLDEN_FAULTS, "
-         "OLDEN_FAULT_SEED, OLDEN_ADAPT_INTERVAL, OLDEN_ADAPT_HYSTERESIS, "
-         "OLDEN_SAMPLE)\n";
+         "  --version          print stats/trace schema versions and exit\n";
 }
 
 }  // namespace olden::bench

@@ -22,13 +22,6 @@
 //                        with 95% CIs. Excludes --trace*/--profile.
 //                        See docs/SAMPLING.md.
 //
-// Environment variables OLDEN_TRACE, OLDEN_TRACE_BIN, OLDEN_STATS_JSON,
-// OLDEN_PROFILE, OLDEN_PROFILE_INTERVAL, OLDEN_TRACE_LIMIT, OLDEN_FAULTS,
-// OLDEN_FAULT_SEED, OLDEN_ADAPT_INTERVAL, OLDEN_ADAPT_HYSTERESIS and
-// OLDEN_SAMPLE supply defaults when the
-// corresponding flag is absent, so wrappers can enable collection without
-// editing command lines.
-//
 // Malformed values (a non-numeric --trace-limit / --fault-seed, a zero or
 // non-numeric --profile-interval, an unparsable --faults spec) are rejected
 // with a one-line message on stderr and exit code 2 — never silently
@@ -68,9 +61,8 @@ class ObsCli {
   }
   [[nodiscard]] bool active() const { return active_; }
 
-  /// Fault plan for BenchConfig/RunConfig — null unless --faults (or
-  /// OLDEN_FAULTS) requested an enabled spec, which keeps fault-free runs
-  /// on the zero-cost path.
+  /// Fault plan for BenchConfig/RunConfig — null unless --faults requested
+  /// an enabled spec, which keeps fault-free runs on the zero-cost path.
   [[nodiscard]] const fault::FaultSpec* faults() const {
     return fault_spec_.enabled ? &fault_spec_ : nullptr;
   }

@@ -4,6 +4,8 @@
 #include <sstream>
 #include <vector>
 
+#include "olden/support/write_file.hpp"
+
 namespace olden::profile {
 
 namespace {
@@ -107,18 +109,10 @@ bool FeedbackTable::parse(const std::string& text, std::string* err) {
 }
 
 bool FeedbackTable::load(const std::string& path, std::string* err) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return set_err(err, "cannot open " + path);
   std::string text;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-  const bool read_ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!read_ok) return set_err(err, "read error on " + path);
-  std::string perr;
-  if (!parse(text, &perr)) return set_err(err, path + ": " + perr);
-  return true;
+  std::string e;
+  if (read_file(path, &text, &e) && parse(text, &e)) return true;
+  return set_err(err, path + ": " + e);
 }
 
 bool parse_heuristic_spec(const std::string& spec, FeedbackTable* out,

@@ -1,10 +1,10 @@
 // Reader for the profile JSON documents profile_json() emits, used by
-// `olden-analyze --profile`. A small recursive-descent JSON parser
-// (objects, arrays, strings, unsigned integers, bools) maps the document
-// onto plain structs; anything malformed — bad JSON, a missing field, a
-// wrong type, an unknown profile_schema_version — is rejected with a
-// descriptive error, never a crash (mirroring the adversarial posture of
-// the binary-trace reader).
+// `olden-analyze --profile`. The shared JSON reader (support/json.hpp)
+// parses the document and its typed getters map it onto plain structs;
+// anything malformed — bad JSON, a missing field, a wrong type (a count
+// of 1.5), an unknown profile_schema_version — is rejected with an error
+// naming the byte offset or the field path, never a crash (mirroring the
+// adversarial posture of the binary-trace reader).
 #pragma once
 
 #include <array>
@@ -87,7 +87,8 @@ struct ProfileDoc {
 
 /// Parse a profile JSON document. Returns false with *err set on any
 /// malformation; an unsupported profile_schema_version reports the version
-/// it found and still fills doc->schema_version.
+/// it found and still fills doc->schema_version. Errors never name a file:
+/// the caller names it once.
 bool parse_profile_json(const std::string& text, ProfileDoc* doc,
                         std::string* err = nullptr);
 

@@ -1,8 +1,10 @@
-// Checked output, shared by the observability exporters, bench_cell and
-// olden-analyze.
+// Checked file output and input, shared by the observability exporters,
+// the document readers, bench_cell and olden-analyze.
 #pragma once
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -24,6 +26,28 @@ inline bool write_file(const std::string& path, std::string_view body,
   const bool closed = std::fclose(f) == 0;
   if (!(wrote && closed) && err != nullptr) *err = "short write to " + path;
   return wrote && closed;
+}
+
+/// Read the whole of `path` into *out. On failure sets *err (when
+/// non-null) to a message that does not name the file, so the caller names
+/// it once, and returns false.
+inline bool read_file(const std::string& path, std::string* out,
+                      std::string* err) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    if (err != nullptr) {
+      *err = std::string("cannot open: ") + std::strerror(errno);
+    }
+    return false;
+  }
+  out->clear();
+  char buf[1 << 16];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out->append(buf, n);
+  const bool read_ok = std::ferror(f) == 0;
+  std::fclose(f);
+  if (!read_ok && err != nullptr) *err = "read error";
+  return read_ok;
 }
 
 /// Flush stdout and check that everything printed to it arrived. A report

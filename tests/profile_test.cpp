@@ -495,6 +495,18 @@ TEST(ProfileReader, RoundTripsAnEmittedProfile) {
   ASSERT_FALSE(run.sites.empty());
   EXPECT_EQ(run.sites[0].site_uid,
             b->name() + "#" + std::to_string(run.sites[0].site));
+
+  // A site index past SiteId's range is refused, not wrapped onto site 0.
+  std::string text = profile::profile_json(obs);
+  const std::string first_site = "\"site\":0,";
+  const std::size_t at = text.find(first_site);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, first_site.size(), "\"site\":4294967296,");
+  profile::ProfileDoc wrapped;
+  EXPECT_FALSE(profile::parse_profile_json(text, &wrapped, &err));
+  EXPECT_NE(err.find("runs[0].sites[0].site: out of range"),
+            std::string::npos)
+      << err;
 }
 
 TEST(ProfileReader, RejectsCorruptAndWrongVersionDocuments) {
@@ -510,6 +522,24 @@ TEST(ProfileReader, RejectsCorruptAndWrongVersionDocuments) {
   EXPECT_FALSE(profile::parse_profile_json(
       R"({"profile_schema_version":1,"generator":"other","runs":[]})", &doc,
       &err));
+  // Doubles parse, but a field that must be unsigned rejects them.
+  EXPECT_FALSE(profile::parse_profile_json(
+      R"({"profile_schema_version":1.5,"generator":"olden-profile"})", &doc,
+      &err));
+  EXPECT_NE(err.find("profile_schema_version: not an unsigned integer"),
+            std::string::npos)
+      << err;
+}
+
+TEST(ProfileReader, RejectsNestingDeeperThanTheCap) {
+  for (const std::string open : {"[", "{\"a\":"}) {
+    std::string text;
+    for (int i = 0; i < 100'000; ++i) text += open;
+    profile::ProfileDoc doc;
+    std::string err;
+    EXPECT_FALSE(profile::parse_profile_json(text, &doc, &err));
+    EXPECT_NE(err.find("nesting deeper than 64"), std::string::npos) << err;
+  }
 }
 
 // --- scoreboard grading ----------------------------------------------------

@@ -15,7 +15,6 @@
 //     silently diverging, on streams that break its invariants.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstring>
 #include <string>
 #include <tuple>
@@ -28,6 +27,7 @@
 #include "olden/analyze/trace_reader.hpp"
 #include "olden/bench/benchmark.hpp"
 #include "olden/fault/fault_spec.hpp"
+#include "olden/support/write_file.hpp"
 #include "olden/trace/observer.hpp"
 #include "olden/trace/streaming_sink.hpp"
 
@@ -36,25 +36,6 @@ namespace {
 
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "olden_streaming_" + name;
-}
-
-std::string read_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr) << path;
-  if (f == nullptr) return {};
-  std::string body;
-  char buf[1 << 16];
-  std::size_t got;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) body.append(buf, got);
-  std::fclose(f);
-  return body;
-}
-
-void write_file(const std::string& path, const std::string& bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr) << path;
-  std::fwrite(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
 }
 
 /// One (benchmark, scheme) cell into `obs`, the way bench_cell labels it.
@@ -95,7 +76,9 @@ Golden run_streamed(const std::vector<std::pair<std::string, Coherence>>& cells,
   for (const auto& [name, scheme] : cells) run_cell(obs, name, scheme);
   std::string err;
   EXPECT_TRUE(sink.finalize(&err)) << err;
-  return {read_file(path), trace::stats_json(obs)};
+  std::string bytes;
+  EXPECT_TRUE(read_file(path, &bytes, &err)) << err;
+  return {bytes, trace::stats_json(obs)};
 }
 
 class StreamingSinkEquivalence
@@ -203,7 +186,8 @@ TEST(AdoptRuns, MergeIntoSinkMatchesSerialBytes) {
   std::string err;
   ASSERT_TRUE(sink.finalize(&err)) << err;
   EXPECT_EQ(trace::stats_json(main_obs), serial.stats);
-  const std::string streamed = read_file(path);
+  std::string streamed;
+  ASSERT_TRUE(read_file(path, &streamed, &err)) << err;
   ASSERT_EQ(streamed.size(), serial.trace_bytes.size());
   EXPECT_TRUE(streamed == serial.trace_bytes);
 }
@@ -224,7 +208,7 @@ TEST(StreamingAnalyzer, PathSumsToMakespanOnTruncatedAndFaultedRuns) {
   run_cell(obs, "TreeAdd", Coherence::kBilateral, &spec);
   run_cell(obs, "MST", Coherence::kEagerGlobal);
   const std::string path = temp_path("analyze.bin");
-  write_file(path, trace::binary_trace_bytes(obs));
+  ASSERT_TRUE(write_file(path, trace::binary_trace_bytes(obs), &err)) << err;
 
   analyze::TraceStream ts;
   ASSERT_TRUE(ts.open(path, &err)) << err;
@@ -266,7 +250,7 @@ TEST(TraceStream, RejectsCorruptInput) {
     const std::string path = temp_path("badmagic.bin");
     std::string bad = good;
     bad[0] = 'X';
-    write_file(path, bad);
+    ASSERT_TRUE(write_file(path, bad, &err)) << err;
     analyze::TraceStream ts;
     EXPECT_FALSE(ts.open(path, &err));
     EXPECT_NE(err.find("bad magic"), std::string::npos) << err;
@@ -275,7 +259,7 @@ TEST(TraceStream, RejectsCorruptInput) {
     const std::string path = temp_path("v1.bin");
     std::string v1 = good;
     std::memcpy(v1.data(), trace::kBinaryTraceMagicV1, 8);
-    write_file(path, v1);
+    ASSERT_TRUE(write_file(path, v1, &err)) << err;
     analyze::TraceStream ts;
     EXPECT_FALSE(ts.open(path, &err));
     EXPECT_NE(err.find("OLDNTRC1"), std::string::npos) << err;
@@ -284,7 +268,8 @@ TEST(TraceStream, RejectsCorruptInput) {
     // Chop the file mid-events: the per-run plausibility bound must
     // refuse the run instead of crashing or spinning.
     const std::string path = temp_path("chopped.bin");
-    write_file(path, good.substr(0, good.size() - 10));
+    ASSERT_TRUE(write_file(path, good.substr(0, good.size() - 10), &err))
+        << err;
     analyze::TraceStream ts;
     ASSERT_TRUE(ts.open(path, &err)) << err;
     analyze::TraceRun run;
@@ -305,7 +290,7 @@ TEST(TraceStream, RejectsCorruptInput) {
     const std::size_t first_record = 16 + 4 + label_len + 28;
     ASSERT_LT(first_record + 68, bad.size());
     bad[first_record + 20] = static_cast<char>(0xEE);
-    write_file(path, bad);
+    ASSERT_TRUE(write_file(path, bad, &err)) << err;
     analyze::TraceStream ts;
     ASSERT_TRUE(ts.open(path, &err)) << err;
     analyze::TraceRun run;
@@ -348,7 +333,7 @@ TEST(TraceReader, RejectsBackPatchedHeaderDisagreement) {
     EXPECT_NE(err.find("v2"), std::string::npos) << name << ": " << err;
 
     const std::string path = temp_path(name);
-    write_file(path, bytes);
+    ASSERT_TRUE(write_file(path, bytes, &err)) << err;
     analyze::TraceStream ts;
     ASSERT_TRUE(ts.open(path, &err)) << name << ": " << err;
     analyze::TraceRun run;
@@ -387,7 +372,7 @@ TEST(TraceReader, RejectsBackPatchedHeaderDisagreement) {
   analyze::test_util::ReadTrace in_memory;
   EXPECT_TRUE(analyze::test_util::read_trace(good, &in_memory, &err)) << err;
   const std::string path = temp_path("backpatch_good.bin");
-  write_file(path, good);
+  ASSERT_TRUE(write_file(path, good, &err)) << err;
   analyze::TraceStream ts;
   ASSERT_TRUE(ts.open(path, &err)) << err;
   analyze::TraceRun run;

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Exit-code and output contract of the olden-analyze command line.
 
-Runs the built binary on a tiny TreeAdd trace written by bench_cell
---trace-bin and checks the documented exit codes: 0 for a normal report,
-2 for usage errors (a removed flag, a malformed --top, no input), and 1
-for a truncated trace or an output file that cannot be written, stdout
+Runs the built binary on a tiny TreeAdd trace, profile and sampled stats
+document written by bench_cell and checks the documented exit codes: 0
+for a normal report, 2 for usage errors (a removed flag, a malformed
+--top, no input), and 1 for a truncated trace, a malformed profile or
+stats document, or an output file that cannot be written, stdout
 included (bench_cell's too). The human report must print the critical
 path's heaviest edges.
 
@@ -37,6 +38,10 @@ class OldenAnalyzeCli(unittest.TestCase):
         subprocess.run([BENCH_CELL, "--benchmark=TreeAdd", "--tiny",
                         "--schemes=local,global", f"--trace-bin={cls.trace}",
                         f"--profile={cls.profile}"],
+                       check=True, capture_output=True, timeout=300)
+        cls.sampled = os.path.join(cls.tmp.name, "treeadd.sampled.json")
+        subprocess.run([BENCH_CELL, "--benchmark=TreeAdd", "--tiny",
+                        "--sample=4096:512", f"--stats-json={cls.sampled}"],
                        check=True, capture_output=True, timeout=300)
 
     @classmethod
@@ -80,6 +85,50 @@ class OldenAnalyzeCli(unittest.TestCase):
         with open(cut, "wb") as f:
             f.write(body[:len(body) - 10])
         self.expect_exit(1, "--trace-bin", cut)
+
+    def write_doc(self, name, text):
+        path = os.path.join(self.tmp.name, name)
+        with open(path, "w") as f:
+            f.write(text)
+        return path
+
+    def test_sampled_stats_report(self):
+        proc = self.expect_exit(0, "--sampled-stats", self.sampled)
+        self.assertIn("sampled run: BENCH/TreeAdd/", proc.stdout)
+        self.assertIn("schedule 4096:512:0", proc.stdout)
+
+    def test_malformed_sampled_stats_exits_1(self):
+        with open(self.sampled) as f:
+            good = f.read()
+        bad = {
+            "v4.json": good.replace('"schema_version":5',
+                                    '"schema_version":4', 1),
+            "generator.json": good.replace('"generator":"olden-trace"',
+                                           '"generator":"other"', 1),
+            "nprocs.json": good.replace('"nprocs":', '"nprocs":-', 1),
+            "truncated.json": good[:len(good) // 2],
+        }
+        for name, text in bad.items():
+            self.assertNotEqual(text, good, name)
+            self.expect_exit(1, "--sampled-stats", self.write_doc(name, text))
+
+    def test_deep_nesting_exits_1(self):
+        for name, unit in (("deep_arrays.json", "["),
+                           ("deep_objects.json", '{"a":')):
+            path = self.write_doc(name, unit * 100000)
+            for mode in ("--profile", "--sampled-stats"):
+                proc = self.expect_exit(1, mode, path)
+                self.assertIn("nesting deeper than 64", proc.stderr)
+
+    def test_reader_errors_name_the_file_once(self):
+        with open(self.profile) as f:
+            chopped = self.write_doc("chopped.profile.json", f.read()[:1000])
+        missing = os.path.join(self.tmp.name, "missing.json")
+        for args in (["--profile", chopped], ["--profile", missing],
+                     ["--sampled-stats", chopped],
+                     ["--sampled-stats", missing]):
+            proc = self.expect_exit(1, *args)
+            self.assertEqual(proc.stderr.count(args[1]), 1, proc.stderr)
 
     @unittest.skipUnless(os.path.exists("/dev/full"), "no /dev/full")
     def test_unwritable_output_exits_1(self):
