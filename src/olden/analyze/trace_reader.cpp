@@ -4,24 +4,12 @@
 #include <cstring>
 
 #include "olden/trace/observer.hpp"
+#include "olden/trace/record_codec.hpp"
 
 namespace olden::analyze {
 
-namespace {
-
-std::uint32_t decode_u32le(const unsigned char* b) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t decode_u64le(const unsigned char* b) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-  return v;
-}
-
-}  // namespace
+using trace::load_u32le;
+using trace::load_u64le;
 
 TraceStream::~TraceStream() {
   if (file_ != nullptr) std::fclose(file_);
@@ -73,7 +61,7 @@ bool TraceStream::open_bytes(std::string_view bytes, std::string* err) {
 }
 
 bool TraceStream::read_header(std::string* err) {
-  unsigned char magic[8];
+  char magic[8];
   if (!read(magic, 8)) return fail(err, "trace too short for magic");
   if (std::memcmp(magic, trace::kBinaryTraceMagicV1, 8) == 0) {
     return fail(err,
@@ -84,10 +72,10 @@ bool TraceStream::read_header(std::string* err) {
   if (std::memcmp(magic, trace::kBinaryTraceMagic, 8) != 0) {
     return fail(err, "not an Olden binary trace (bad magic)");
   }
-  unsigned char hdr[8];
+  char hdr[8];
   if (!read(hdr, 8)) return fail(err, "truncated trace header");
-  const std::uint32_t version = decode_u32le(hdr);
-  num_runs_ = decode_u32le(hdr + 4);
+  const std::uint32_t version = load_u32le(hdr);
+  num_runs_ = load_u32le(hdr + 4);
   if (version != static_cast<std::uint32_t>(trace::kBinaryTraceVersion)) {
     return fail(err, "unsupported binary trace version " +
                          std::to_string(version) + " (expected " +
@@ -133,11 +121,11 @@ bool TraceStream::next_run(TraceRun* run, std::string* err) {
   }
   const std::string rno = std::to_string(runs_delivered_);
 
-  unsigned char lenb[4];
+  char lenb[4];
   if (!read(lenb, 4)) {
     return fail(err, "truncated run header (run " + rno + ")");
   }
-  const std::uint32_t label_len = decode_u32le(lenb);
+  const std::uint32_t label_len = load_u32le(lenb);
   if (label_len > file_size_ - pos_) {
     return fail(err, "run label length " + std::to_string(label_len) +
                          " exceeds file size (run " + rno + ")");
@@ -147,14 +135,14 @@ bool TraceStream::next_run(TraceRun* run, std::string* err) {
     return fail(err, "truncated run header (run " + rno + ")");
   }
 
-  unsigned char tail[4 + 8 + 8 + 8];
+  char tail[4 + 8 + 8 + 8];
   if (!read(tail, sizeof tail)) {
     return fail(err, "truncated run header (run " + rno + ")");
   }
-  const std::uint32_t nprocs = decode_u32le(tail);
-  run->makespan = decode_u64le(tail + 4);
-  run->events_dropped = decode_u64le(tail + 12);
-  const std::uint64_t nevents = decode_u64le(tail + 20);
+  const std::uint32_t nprocs = load_u32le(tail);
+  run->makespan = load_u64le(tail + 4);
+  run->events_dropped = load_u64le(tail + 12);
+  const std::uint64_t nevents = load_u64le(tail + 20);
   // The simulator never runs more than kMaxProcs processors; a larger
   // value is corruption, and passing it through would size analysis
   // arrays (per-processor chains) from attacker-controlled bytes.
@@ -176,38 +164,47 @@ bool TraceStream::next_run(TraceRun* run, std::string* err) {
 bool TraceStream::next_events(std::vector<trace::TraceEvent>* batch,
                               std::size_t max, std::string* err) {
   if (err != nullptr) err->clear();
-  batch->clear();
-  if (version_ == 0) return fail(err, "stream not open");
-  if (run_events_left_ == 0 || max == 0) return false;  // run exhausted
+  if (version_ == 0 || run_events_left_ == 0 || max == 0) {
+    batch->clear();
+    if (version_ == 0) return fail(err, "stream not open");
+    return false;  // run exhausted
+  }
 
-  const std::uint64_t want =
-      max < run_events_left_ ? max : run_events_left_;
-  buf_.resize(static_cast<std::size_t>(want) * trace::kBinaryRecordBytes);
-  if (!read(buf_.data(), buf_.size())) {
+  const std::size_t want = static_cast<std::size_t>(
+      max < run_events_left_ ? max : run_events_left_);
+  // The records are read straight into the batch's storage and decoded
+  // there, back to front: an event (72 bytes) is wider than its record
+  // (68), so slot i starts at or past record i and overlaps only records
+  // after it, which are already decoded.
+  static_assert(sizeof(trace::TraceEvent) >= trace::kBinaryRecordBytes);
+  batch->resize(want);
+  char* raw = reinterpret_cast<char*>(batch->data());
+  if (!read(raw, want * trace::kBinaryRecordBytes)) {
+    batch->clear();
     return fail(err, "truncated event record");
   }
   run_events_left_ -= want;
 
-  batch->reserve(static_cast<std::size_t>(want));
-  const auto* p = reinterpret_cast<const unsigned char*>(buf_.data());
-  for (std::uint64_t i = 0; i < want; ++i, p += trace::kBinaryRecordBytes) {
+  // A refused record leaves the records before it in *batch.
+  std::size_t valid = want;
+  std::uint8_t bad_kind = 0;
+  trace::TraceEvent* out = batch->data();
+  for (std::size_t i = want; i-- > 0;) {
     trace::TraceEvent e;
-    e.time = decode_u64le(p);
-    e.proc = decode_u32le(p + 8);
-    e.thread = decode_u64le(p + 12);
-    const std::uint8_t kind = p[20];  // 3 pad bytes follow
-    e.site = decode_u32le(p + 24);
-    e.arg0 = decode_u64le(p + 28);
-    e.arg1 = decode_u64le(p + 36);
-    e.id = decode_u64le(p + 44);
-    e.chain = decode_u64le(p + 52);
-    e.parent = decode_u64le(p + 60);
+    const std::uint8_t kind =
+        trace::decode_record(raw + i * trace::kBinaryRecordBytes, &e);
     if (kind >= trace::kNumEventKinds) {
-      return fail(err, "event record with out-of-range kind " +
-                           std::to_string(kind));
+      valid = i;
+      bad_kind = kind;
+      continue;
     }
     e.kind = static_cast<trace::EventKind>(kind);
-    batch->push_back(e);
+    out[i] = e;
+  }
+  if (valid < want) {
+    batch->resize(valid);
+    return fail(err, "event record with out-of-range kind " +
+                         std::to_string(bad_kind));
   }
   return true;
 }

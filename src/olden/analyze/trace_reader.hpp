@@ -99,7 +99,6 @@ class TraceStream {
   std::uint32_t num_runs_ = 0;
   std::uint32_t runs_delivered_ = 0;
   std::uint64_t run_events_left_ = 0;
-  std::string buf_;  ///< batch read buffer, reused across next_events calls
 };
 
 }  // namespace olden::analyze

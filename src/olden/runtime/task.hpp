@@ -14,17 +14,112 @@
 //
 // Task frames live on the host heap; only the thread's execution point
 // moves between virtual processors, matching "we send only the portion of
-// the thread's state necessary for the current procedure".
+// the thread's state necessary for the current procedure". Every
+// simulated call makes and frees one, so frames come from a per-host-
+// thread recycling pool (detail::FramePool) instead of the general
+// allocator.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
+#include <cstdint>
+#include <new>
 #include <utility>
+
+#if defined(__has_include)
+#if __has_include(<sanitizer/asan_interface.h>)
+#include <sanitizer/asan_interface.h>
+#endif
+#endif
+#ifndef ASAN_POISON_MEMORY_REGION
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
 
 #include "olden/runtime/machine.hpp"
 
 namespace olden {
 
 namespace detail {
+
+/// Recycles coroutine frames on one host thread: a free list per 16-byte
+/// size class up to kMaxPooledBytes, larger frames straight to the global
+/// allocator. After warm-up a simulated call allocates nothing (the same
+/// pattern as Machine's FutureCell pool). A pool is only ever touched by
+/// its own thread, so `bench_cell --jobs` workers need no locking; a frame
+/// freed on another thread than the one that made it simply joins that
+/// thread's lists. Each thread's lists are returned to the global
+/// allocator when the thread exits.
+///
+/// Under ASan a pooled frame is poisoned until it is handed out again, so
+/// a use of a destroyed-and-recycled frame is still reported.
+class FramePool {
+ public:
+  static constexpr std::size_t kGranule = 16;
+  static constexpr std::size_t kClasses = 64;
+  static constexpr std::size_t kMaxPooledBytes = kGranule * kClasses;
+
+  constexpr FramePool() = default;
+  ~FramePool() { release(); }
+  FramePool(const FramePool&) = delete;
+  FramePool& operator=(const FramePool&) = delete;
+
+  /// The calling host thread's pool.
+  static FramePool& local();
+
+  void* allocate(std::size_t n) {
+    if (n > kMaxPooledBytes) return ::operator new(n);
+    const std::size_t c = class_of(n);
+    if (Free* f = heads_[c]) {
+      ASAN_UNPOISON_MEMORY_REGION(f, class_bytes(c));
+      heads_[c] = f->next;
+      return f;
+    }
+    return ::operator new(class_bytes(c));
+  }
+
+  void deallocate(void* p, std::size_t n) noexcept {
+    if (n > kMaxPooledBytes) {
+      ::operator delete(p, n);
+      return;
+    }
+    const std::size_t c = class_of(n);
+    Free* f = ::new (p) Free{heads_[c]};
+    heads_[c] = f;
+    ASAN_POISON_MEMORY_REGION(f, class_bytes(c));
+  }
+
+ private:
+  struct Free {
+    Free* next;
+  };
+
+  /// Frames are never empty, so n >= 1.
+  static std::size_t class_of(std::size_t n) { return (n - 1) / kGranule; }
+  static std::size_t class_bytes(std::size_t c) { return (c + 1) * kGranule; }
+
+  void release() noexcept {
+    for (std::size_t c = 0; c < kClasses; ++c) {
+      while (Free* f = heads_[c]) {
+        ASAN_UNPOISON_MEMORY_REGION(f, class_bytes(c));
+        heads_[c] = f->next;
+        ::operator delete(f, class_bytes(c));
+      }
+    }
+  }
+
+  Free* heads_[kClasses] = {};
+};
+
+inline thread_local FramePool t_frame_pool;
+
+// Sanitized builds reach the thread_local through a noinline accessor,
+// for the reason given at Machine::current().
+#if OLDEN_SYMMETRIC_TRANSFER
+inline FramePool& FramePool::local() { return t_frame_pool; }
+#else
+[[gnu::noinline]] inline FramePool& FramePool::local() { return t_frame_pool; }
+#endif
 
 /// Holds the co_returned value; the void specialization swaps
 /// return_value for return_void (a promise must declare exactly one).
@@ -50,6 +145,13 @@ class [[nodiscard]] Task {
     std::coroutine_handle<> cont;  ///< caller resumption (null for roots)
     ProcId call_proc = 0;          ///< caller's processor at invocation
     FutureCell* cell = nullptr;    ///< non-null for future bodies
+
+    static void* operator new(std::size_t n) {
+      return detail::FramePool::local().allocate(n);
+    }
+    static void operator delete(void* p, std::size_t n) noexcept {
+      detail::FramePool::local().deallocate(p, n);
+    }
 
     Task get_return_object() {
       return Task(std::coroutine_handle<promise_type>::from_promise(*this));

@@ -1,18 +1,13 @@
 #include "olden/trace/streaming_sink.hpp"
 
+#include <cstring>
+
 namespace olden::trace {
 
 namespace {
 
 /// Offset of the file-level u32 run count: magic(8) + version(4).
 constexpr long kNumRunsOffset = 8 + 4;
-
-void encode_u32le(char* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-}
-void encode_u64le(char* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-}
 
 }  // namespace
 
@@ -28,9 +23,11 @@ StreamingTraceSink::StreamingTraceSink(std::string path,
     set_error("cannot open " + path_ + " for writing");
     return;
   }
-  buf_.append(kBinaryTraceMagic, sizeof kBinaryTraceMagic);
-  put_u32(static_cast<std::uint32_t>(kBinaryTraceVersion));
-  put_u32(0);  // run count, patched in finalize()
+  char header[sizeof kBinaryTraceMagic + 8];
+  std::memcpy(header, kBinaryTraceMagic, sizeof kBinaryTraceMagic);
+  store_u32le(header + 8, static_cast<std::uint32_t>(kBinaryTraceVersion));
+  store_u32le(header + kNumRunsOffset, 0);  // run count, patched in finalize()
+  buf_.append(header, sizeof header);
 }
 
 StreamingTraceSink::~StreamingTraceSink() { finalize(); }
@@ -74,13 +71,16 @@ void StreamingTraceSink::begin_run(const std::string& label, ProcId nprocs) {
   run_open_ = true;
   run_events_ = 0;
   ++runs_begun_;
-  put_u32(static_cast<std::uint32_t>(label.size()));
+  char len[4];
+  store_u32le(len, static_cast<std::uint32_t>(label.size()));
+  buf_.append(len, sizeof len);
   buf_ += label;
-  put_u32(nprocs);
-  run_patch_off_ = written_ + buf_.size();
-  put_u64(0);  // makespan, patched in end_run()
-  put_u64(0);  // events_dropped, patched in end_run()
-  put_u64(0);  // event count, patched in end_run()
+  // nprocs, then makespan / events_dropped / event count as zero
+  // placeholders that end_run() back-patches.
+  char tail[4 + 24] = {};
+  store_u32le(tail, nprocs);
+  run_patch_off_ = written_ + buf_.size() + 4;
+  buf_.append(tail, sizeof tail);
 }
 
 void StreamingTraceSink::end_run(Cycles makespan,
@@ -91,9 +91,9 @@ void StreamingTraceSink::end_run(Cycles makespan,
   }
   run_open_ = false;
   char bytes[24];
-  encode_u64le(bytes, makespan);
-  encode_u64le(bytes + 8, events_dropped);
-  encode_u64le(bytes + 16, run_events_);
+  store_u64le(bytes, makespan);
+  store_u64le(bytes + 8, events_dropped);
+  store_u64le(bytes + 16, run_events_);
   patch(static_cast<long>(run_patch_off_), bytes, sizeof bytes);
 }
 
@@ -102,7 +102,7 @@ bool StreamingTraceSink::finalize(std::string* err) {
     finalized_ = true;
     if (run_open_) set_error("finalize with a run still open");
     char bytes[4];
-    encode_u32le(bytes, runs_begun_);
+    store_u32le(bytes, runs_begun_);
     patch(kNumRunsOffset, bytes, sizeof bytes);
     if (file_ != nullptr) {
       if (std::fflush(file_) != 0) set_error("flush failed for " + path_);

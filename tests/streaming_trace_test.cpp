@@ -8,7 +8,8 @@
 //   * Observer::adopt_runs_from reconstructs the serial record from
 //     host-parallel worker observers (the bench_cell --jobs merge),
 //     including when the cross-run retention limit truncates mid-suite,
-//   * TraceStream rejects corrupt, truncated and back-patch-mismatched
+//   * TraceStream reads back every field bit of every event kind the
+//     sink wrote, and rejects corrupt, truncated and back-patch-mismatched
 //     input, from a file and from memory alike,
 //   * the analyzer's critical path sums to the makespan on healthy,
 //     truncated and fault-injected runs, and it fails loudly, never
@@ -298,6 +299,141 @@ TEST(TraceStream, RejectsCorruptInput) {
     std::vector<trace::TraceEvent> batch;
     EXPECT_FALSE(ts.next_events(&batch, 4'096, &err));
     EXPECT_NE(err.find("out-of-range kind"), std::string::npos) << err;
+  }
+}
+
+/// Every field of two events, one assertion each, so a mismatch names
+/// the field whose offset is wrong.
+void expect_same_event(const trace::TraceEvent& want,
+                       const trace::TraceEvent& got, std::size_t index) {
+  SCOPED_TRACE("event " + std::to_string(index));
+  EXPECT_EQ(got.time, want.time);
+  EXPECT_EQ(got.proc, want.proc);
+  EXPECT_EQ(got.thread, want.thread);
+  EXPECT_EQ(got.kind, want.kind);
+  EXPECT_EQ(got.site, want.site);
+  EXPECT_EQ(got.arg0, want.arg0);
+  EXPECT_EQ(got.arg1, want.arg1);
+  EXPECT_EQ(got.id, want.id);
+  EXPECT_EQ(got.chain, want.chain);
+  EXPECT_EQ(got.parent, want.parent);
+}
+
+/// Wide-field events for the codec round trip: every EventKind under
+/// three patterns. All-ones and alternating bits (0xAA.. and 0x55..,
+/// swapped between neighbouring fields) exercise every bit; the third
+/// gives each field distinct bytes, so a field written at another
+/// field's offset, or shifted by a byte, reads back wrong.
+std::vector<trace::TraceEvent> codec_events() {
+  constexpr std::uint64_t kOnes = ~std::uint64_t{0};
+  constexpr std::uint64_t kAlt = 0xAAAA'AAAA'AAAA'AAAAull;
+  std::vector<trace::TraceEvent> events;
+  for (std::size_t k = 0; k < trace::kNumEventKinds; ++k) {
+    for (int pattern = 0; pattern < 3; ++pattern) {
+      std::uint64_t f[10];
+      for (int i = 0; i < 10; ++i) {
+        if (pattern == 0) {
+          f[i] = kOnes;
+        } else if (pattern == 1) {
+          f[i] = i % 2 == 0 ? kAlt : ~kAlt;
+        } else {
+          // Bytes 8i+1 .. 8i+8, plus the kind, low byte first.
+          f[i] = 0;
+          for (int b = 0; b < 8; ++b) {
+            f[i] |= static_cast<std::uint64_t>(8 * i + b + 1 + k) << (8 * b);
+          }
+        }
+      }
+      trace::TraceEvent e;
+      e.time = f[0];
+      e.proc = static_cast<ProcId>(f[1]);
+      e.thread = f[2];
+      e.kind = static_cast<trace::EventKind>(k);
+      e.site = static_cast<SiteId>(f[3]);
+      e.arg0 = f[4];
+      e.arg1 = f[5];
+      e.id = f[6];
+      e.chain = f[7];
+      e.parent = f[8];
+      events.push_back(e);
+    }
+  }
+  return events;
+}
+
+TEST(TraceCodec, SinkToStreamRoundTripsEveryKindAndFieldBit) {
+  const std::vector<trace::TraceEvent> events = codec_events();
+  const std::string path = temp_path("codec_roundtrip.bin");
+  constexpr Cycles kMakespan = 0xAAAA'AAAA'AAAA'AAAAull;
+  constexpr std::uint64_t kDropped = 0x5555'5555'5555'5555ull;
+  {
+    trace::StreamingTraceSink sink(path);
+    ASSERT_TRUE(sink.ok()) << sink.error();
+    sink.begin_run("codec", kMaxProcs);
+    for (const trace::TraceEvent& e : events) sink.append(e);
+    sink.end_run(kMakespan, kDropped);
+    std::string err;
+    ASSERT_TRUE(sink.finalize(&err)) << err;
+  }
+
+  std::string err;
+  analyze::TraceStream ts;
+  ASSERT_TRUE(ts.open(path, &err)) << err;
+  analyze::TraceRun run;
+  ASSERT_TRUE(ts.next_run(&run, &err)) << err;
+  EXPECT_EQ(run.label, "codec");
+  EXPECT_EQ(run.nprocs, kMaxProcs);
+  EXPECT_EQ(run.makespan, kMakespan);
+  EXPECT_EQ(run.events_dropped, kDropped);
+  ASSERT_EQ(run.num_events, events.size());
+
+  // Odd-sized batches, so batch boundaries and a short last batch (the
+  // batch shrinking in place) are exercised too.
+  std::vector<trace::TraceEvent> batch;
+  std::size_t next = 0;
+  while (ts.next_events(&batch, 7, &err)) {
+    ASSERT_LE(next + batch.size(), events.size());
+    for (const trace::TraceEvent& e : batch) {
+      expect_same_event(events[next], e, next);
+      ++next;
+    }
+  }
+  EXPECT_TRUE(err.empty()) << err;
+  EXPECT_TRUE(batch.empty());
+  EXPECT_EQ(next, events.size());
+  EXPECT_FALSE(ts.next_run(&run, &err));
+  EXPECT_TRUE(err.empty()) << err;
+}
+
+TEST(TraceStream, RefusedKindLeavesTheRecordsBeforeItInTheBatch) {
+  trace::Observer obs;
+  obs.set_trace_enabled(true);
+  obs.set_event_limit(64);
+  run_cell(obs, "TreeAdd", Coherence::kLocalKnowledge);
+  const std::string good = trace::binary_trace_bytes(obs);
+  const std::vector<trace::TraceEvent>& recorded = obs.runs().at(0).events;
+  ASSERT_GE(recorded.size(), 4u);
+  const std::size_t label_len = obs.runs().at(0).label.size();
+  const std::size_t first_record = 16 + 4 + label_len + 28;
+
+  for (const std::size_t bad_index : {std::size_t{0}, std::size_t{3}}) {
+    SCOPED_TRACE("bad record " + std::to_string(bad_index));
+    std::string bad = good;
+    bad[first_record + bad_index * trace::kBinaryRecordBytes + 20] =
+        static_cast<char>(trace::kNumEventKinds);
+    std::string err;
+    analyze::TraceStream ts;
+    ASSERT_TRUE(ts.open_bytes(bad, &err)) << err;
+    analyze::TraceRun run;
+    ASSERT_TRUE(ts.next_run(&run, &err)) << err;
+    // Stale contents from an earlier call are replaced, not appended to.
+    std::vector<trace::TraceEvent> batch(100);
+    EXPECT_FALSE(ts.next_events(&batch, 4'096, &err));
+    EXPECT_NE(err.find("out-of-range kind"), std::string::npos) << err;
+    ASSERT_EQ(batch.size(), bad_index);
+    for (std::size_t i = 0; i < bad_index; ++i) {
+      expect_same_event(recorded[i], batch[i], i);
+    }
   }
 }
 
